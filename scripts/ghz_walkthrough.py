@@ -3,7 +3,7 @@
 analysis surface: classification, sign state, product test with its
 four-point certificate, the hypergraph view, and both SAT pipelines."""
 
-from pilme.boolfn import classify, evaluate, from_table_hex, to_table_hex
+from pilme.boolfn import classify, evaluate, from_table_hex, to_sign_string, to_table_hex
 from pilme.hypergraph import entangling_edge_exists, hypergraph_of, render_anf_text
 from pilme.lme_state import find_certificate, is_osm, state_from_function, verify_certificate
 from pilme.quantum_sim import algorithm1_end_to_end
@@ -16,8 +16,7 @@ def main() -> None:
     print(f"classification: {classify(f)}")
 
     state = state_from_function(f)
-    signs = "".join("-" if (state.signs >> i) & 1 else "+" for i in range(state.dimension))
-    print(f"sign state: {signs}")
+    print(f"sign state: {to_sign_string(state)}")
     print(f"product of plus/minus qubits: {is_osm(state)}")
 
     cert = find_certificate(state)

@@ -34,7 +34,6 @@ from .lme_state import (
     Certificate,
     FactorDecomposition,
     NotProductError,
-    PiLmeState,
     count_osm_states,
     factorize,
     find_certificate,

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Optional, Union
 
-# Default cap on arity for table-building operations; a table at n = 24
-# occupies 2 MiB.  Callers may pass their own max_n to raise or lower it.
+# Default cap on arity for table-building operations and the command
+# line's ceiling; a table at n = 24 occupies 2 MiB.  Library callers may
+# pass their own max_n to raise or lower it.
 MAX_N = 24
 
 Kind = Literal["constant0", "constant1", "balanced", "neither"]
@@ -33,18 +35,32 @@ class ParseError(ValueError):
         self.position = position
 
 
+def check_arity(arity: int, max_n: int = MAX_N) -> None:
+    """Refuse to build a table wider than the configured cap."""
+    if arity > max_n:
+        raise ValueError(f"arity {arity} exceeds the configured cap {max_n}")
+
+
+def _check_packed(n: int, bits: int, n_name: str, bits_name: str) -> None:
+    if n < 1:
+        raise ValueError(f"{n_name} must be at least 1")
+    if bits < 0 or bits.bit_length() > (1 << n):
+        raise ValueError(f"{bits_name} does not fit in 2**{n_name} bits")
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
-    """Truth table of f: {0,1}^arity -> {0,1}, packed LSB-first into an int."""
+    """Truth table of f: {0,1}^arity -> {0,1}, packed LSB-first into an int.
+
+    The same value is the sign state of f: bit i set means the coefficient
+    of |i> is -1.
+    """
 
     arity: int
     table: int
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("arity must be at least 1")
-        if self.table < 0 or self.table.bit_length() > (1 << self.arity):
-            raise ValueError("table does not fit in 2**arity bits")
+        _check_packed(self.arity, self.table, "arity", "table")
 
     @property
     def size(self) -> int:
@@ -56,31 +72,68 @@ class BooleanFunction:
 class Hypergraph:
     """XOR polynomial of a Boolean function, seen as a hypergraph.
 
-    Vertices are the input variables 0..vertex_count-1 and each monomial
-    is an edge over the variables it multiplies; `constant_bit` is the
-    empty-monomial coefficient.  Every Boolean function has exactly one
-    such polynomial, so hypergraphs and truth tables are in bijection.
+    Vertices are the input variables 0..vertex_count-1.  Bit S of `coeff`
+    is the coefficient of the monomial over the variables in S, so bit 0
+    is the constant and every other set bit is an edge.  Every Boolean
+    function has exactly one such polynomial, so hypergraphs and truth
+    tables are in bijection.
     """
 
     vertex_count: int
-    constant_bit: int
-    edges: frozenset[frozenset[int]]
+    coeff: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(frozenset(e) for e in self.edges))
-        if self.vertex_count < 1:
-            raise ValueError("vertex_count must be at least 1")
-        if self.constant_bit not in (0, 1):
-            raise ValueError("constant_bit must be 0 or 1")
-        for edge in self.edges:
-            if not edge:
-                raise ValueError("edges must be non-empty")
-            if any(v < 0 or v >= self.vertex_count for v in edge):
-                raise ValueError("edge vertex out of range")
+        _check_packed(self.vertex_count, self.coeff, "vertex_count", "coeff")
+
+    @property
+    def constant_bit(self) -> int:
+        return self.coeff & 1
+
+    # Cached: reading the edges is a full pass over `coeff`, and the CLI
+    # renders both the JSON and the text form of one hypergraph.
+    @cached_property
+    def _edge_tuples(self) -> tuple[tuple[int, ...], ...]:
+        edges = [tuple(_set_bits(mask)) for mask in _set_bits(self.coeff) if mask]
+        return tuple(sorted(edges, key=lambda t: (len(t), t)))
+
+    @property
+    def edges(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(frozenset, self._edge_tuples))
 
     def sorted_edges(self) -> list[tuple[int, ...]]:
         """Edges in a deterministic order: by size, then lexicographically."""
-        return sorted((tuple(sorted(e)) for e in self.edges), key=lambda t: (len(t), t))
+        return list(self._edge_tuples)
+
+
+# ---------------------------------------------------------------------------
+# Packed bit vectors
+#
+# A table of 2**n entries is one int.  Code that needs its positions one
+# by one goes through these helpers, which walk it a byte at a time
+# instead of shifting the whole int once per position.
+
+_BYTE_BITS = tuple(tuple(k for k in range(8) if (byte >> k) & 1) for byte in range(256))
+_NONZERO_TO_ONE = bytes([0] + [1] * 255)
+
+
+def _set_bits(packed: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    find = raw.translate(_NONZERO_TO_ONE).find
+    out = []
+    i = find(1)
+    while i >= 0:
+        out.extend(8 * i + k for k in _BYTE_BITS[raw[i]])
+        i = find(1, i + 1)
+    return out
+
+
+def pack_bits(positions: Iterable[int], size: int) -> int:
+    """The int with exactly the given bits set, all below `size`."""
+    raw = bytearray((size + 7) // 8)
+    for p in positions:
+        raw[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(raw, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +476,7 @@ def compile(ast: FormulaAST, arity: int, max_n: int = MAX_N) -> BooleanFunction:
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
-    if arity > max_n:
-        raise ValueError(f"arity {arity} exceeds the configured cap {max_n}")
+    check_arity(arity, max_n)
     return BooleanFunction(arity, _packed_eval(ast, arity))
 
 
@@ -470,13 +522,6 @@ def _mobius(packed: int, n: int) -> int:
     return out
 
 
-def _bit_positions(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
 def anf(f: BooleanFunction) -> Hypergraph:
     """Unique XOR-polynomial of f via the subset-lattice transform.
 
@@ -484,22 +529,13 @@ def anf(f: BooleanFunction) -> Hypergraph:
     over the variables in S; cost O(n * 2**n) regardless of how small a
     formula produced the table.
     """
-    coeff = _mobius(f.table, f.arity)
-    edges = [frozenset(_bit_positions(mask)) for mask in _bit_positions(coeff & ~1)]
-    return Hypergraph(f.arity, coeff & 1, frozenset(edges))
+    return Hypergraph(f.arity, _mobius(f.table, f.arity))
 
 
 def from_anf(h: Hypergraph, max_n: int = MAX_N) -> BooleanFunction:
     """Truth table of the XOR polynomial; exact inverse of anf."""
-    if h.vertex_count > max_n:
-        raise ValueError(f"arity {h.vertex_count} exceeds the configured cap {max_n}")
-    coeff = h.constant_bit
-    for edge in h.edges:
-        mask = 0
-        for v in edge:
-            mask |= 1 << v
-        coeff |= 1 << mask
-    return BooleanFunction(h.vertex_count, _mobius(coeff, h.vertex_count))
+    check_arity(h.vertex_count, max_n)
+    return BooleanFunction(h.vertex_count, _mobius(h.coeff, h.vertex_count))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +559,7 @@ def conjoin_fresh(f: BooleanFunction, count: int, max_n: int = MAX_N) -> Boolean
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
     arity = f.arity + count
-    if arity > max_n:
-        raise ValueError(f"arity {arity} exceeds the configured cap {max_n}")
+    check_arity(arity, max_n)
     return BooleanFunction(arity, f.table << ((1 << arity) - (1 << f.arity)))
 
 
@@ -537,6 +572,14 @@ def to_table_hex(f: BooleanFunction) -> str:
     (bit i of byte i//8 is f(i))."""
     nbytes = max(1, f.size // 8)
     return f.table.to_bytes(nbytes, "little").hex()
+
+
+_SIGN_CHARS = str.maketrans("01", "+-")
+
+
+def to_sign_string(f: BooleanFunction) -> str:
+    """Table as one character per entry, f(0) first: '-' where f is 1."""
+    return format(f.table, f"0{f.size}b")[::-1].translate(_SIGN_CHARS)
 
 
 def from_table_hex(text: str, arity: int) -> BooleanFunction:

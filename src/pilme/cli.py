@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from . import boolfn, hypergraph, lme_state, quantum_sim, reductions
 from .boolfn import BooleanFunction, ParseError
 
-HARD_MAX_N = 24
 FORMATS = ("formula", "dimacs", "table-hex", "anf")
 
 
@@ -43,8 +42,8 @@ def _resolve_max_n(value: Optional[int]) -> int:
             value = int(raw)
         except ValueError:
             raise ParseError(f"PILME_MAX_N must be an integer, got {raw!r}") from None
-    if not 1 <= value <= HARD_MAX_N:
-        raise ParseError(f"max_n must be between 1 and {HARD_MAX_N}")
+    if not 1 <= value <= boolfn.MAX_N:
+        raise ParseError(f"max_n must be between 1 and {boolfn.MAX_N}")
     return value
 
 
@@ -72,12 +71,12 @@ def load_function(cfg: RunConfig) -> BooleanFunction:
     """Parse the configured input into a truth table."""
     text = _read_source(cfg.source)
     if cfg.fmt == "formula":
-        if cfg.arity is not None:
-            ast = boolfn.parse_formula(text, cfg.arity)
-            return boolfn.compile(ast, cfg.arity, max_n=cfg.max_n)
-        ast = boolfn.parse_formula(text, cfg.max_n)
-        arity = max(1, boolfn.max_variable(ast))
-        return boolfn.compile(ast, arity, max_n=cfg.max_n)
+        try:
+            ast = boolfn.parse_formula(text, cfg.arity or cfg.max_n)
+            arity = cfg.arity or max(1, boolfn.max_variable(ast))
+            return boolfn.compile(ast, arity, max_n=cfg.max_n)
+        except RecursionError:
+            raise ParseError("formula nested too deeply") from None
     if cfg.fmt == "dimacs":
         var_count, clauses = boolfn.parse_dimacs_clauses(text)
         if cfg.arity is not None and cfg.arity != var_count:
@@ -97,10 +96,6 @@ def _emit(facts: dict, as_json: bool, human: str) -> None:
         print(json.dumps(facts))
     else:
         sys.stdout.write(human if human.endswith("\n") else human + "\n")
-
-
-def _signs_string(state: lme_state.PiLmeState) -> str:
-    return "".join("-" if (state.signs >> i) & 1 else "+" for i in range(state.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +118,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_state(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     f = load_function(cfg)
-    state = lme_state.state_from_function(f)
-    signs = _signs_string(state)
-    facts = {"n": state.qubit_count, "table_hex": boolfn.to_table_hex(f), "signs": signs}
-    lines = [f"n: {state.qubit_count}", f"table_hex: {boolfn.to_table_hex(f)}", f"signs: {signs}"]
+    table_hex, signs = boolfn.to_table_hex(f), boolfn.to_sign_string(f)
+    facts = {"n": f.arity, "table_hex": table_hex, "signs": signs}
+    lines = [f"n: {f.arity}", f"table_hex: {table_hex}", f"signs: {signs}"]
     if args.amplitudes:
-        scale = 1.0 / math.sqrt(state.dimension)
-        amplitudes = [
-            float(format(state.sign(i) * scale, ".17g")) for i in range(state.dimension)
-        ]
+        scale = 1.0 / math.sqrt(f.size)
+        amplitudes = [-scale if sign == "-" else scale for sign in signs]
         facts["amplitudes"] = amplitudes
         lines.append("amplitudes:")
         lines.extend(f"  {format(a, '.17g')}" for a in amplitudes)
@@ -142,10 +134,9 @@ def _cmd_state(args: argparse.Namespace) -> int:
 def _cmd_separable(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     f = load_function(cfg)
-    state = lme_state.state_from_function(f)
-    osm = lme_state.is_osm(state)
+    osm = lme_state.is_osm(f)
     if osm:
-        decomposition = lme_state.factorize(state)
+        decomposition = lme_state.factorize(f)
         dec_facts = {
             "global": "+" if decomposition.global_sign > 0 else "-",
             "factors": ["+" if eps > 0 else "-" for eps in decomposition.factors],
@@ -153,18 +144,18 @@ def _cmd_separable(args: argparse.Namespace) -> int:
         cert_facts = None
         detail = f"decomposition: global={dec_facts['global']} factors={''.join(dec_facts['factors'])}"
     else:
-        cert = lme_state.find_certificate(state)
+        cert = lme_state.find_certificate(f)
         assert cert is not None
         dec_facts = None
         cert_facts = {"k": cert.k, "l": cert.l, "m": cert.m}
         detail = f"certificate: k={cert.k} l={cert.l} m={cert.m}"
     facts = {
-        "n": state.qubit_count,
+        "n": f.arity,
         "osm": osm,
         "decomposition": dec_facts,
         "certificate": cert_facts,
     }
-    human = f"n: {state.qubit_count}\nosm: {str(osm).lower()}\n{detail}\n"
+    human = f"n: {f.arity}\nosm: {str(osm).lower()}\n{detail}\n"
     _emit(facts, cfg.as_json, human)
     return 0
 
@@ -317,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--n", type=int, default=None,
                          help="arity (required for table-hex, inferred otherwise)")
         sub.add_argument("--max-n", type=int, default=None,
-                         help=f"arity cap, at most {HARD_MAX_N} (default from PILME_MAX_N or {boolfn.MAX_N})")
+                         help=f"arity cap, at most {boolfn.MAX_N} (default from PILME_MAX_N or {boolfn.MAX_N})")
         sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
         sub.set_defaults(handler=handler)
         return sub

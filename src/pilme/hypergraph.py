@@ -17,9 +17,10 @@ from .boolfn import (
     Hypergraph,
     ParseError,
     anf,
+    check_arity,
     from_anf,
+    pack_bits,
 )
-from .lme_state import PiLmeState, state_from_function
 
 __all__ = [
     "Hypergraph",
@@ -32,27 +33,28 @@ __all__ = [
 ]
 
 
-def state_from_hypergraph(h: Hypergraph, max_n: int = MAX_N) -> PiLmeState:
+def state_from_hypergraph(h: Hypergraph, max_n: int = MAX_N) -> BooleanFunction:
     """Sign state generated by one controlled phase flip per edge acting on
     the all-plus state; the sign of |i> is the constant bit XORed with the
     parity of edges fully contained in the set bits of i."""
-    return state_from_function(from_anf(h, max_n=max_n))
+    return from_anf(h, max_n=max_n)
 
 
 def entangling_edge_exists(h: Hypergraph) -> bool:
     """True iff some edge couples at least two vertices.
 
     Size-1 edges are single-qubit phase flips (they swap |+> and |-> on
-    one qubit) and never entangle.
+    one qubit) and never entangle.  They sit at the power-of-two bits of
+    the coefficient int, the constant at bit 0.
     """
-    return any(len(edge) >= 2 for edge in h.edges)
+    unentangling = 1 | sum(1 << (1 << k) for k in range(h.vertex_count))
+    return (h.coeff & unentangling) != h.coeff
 
 
 def hypergraph_of(f: BooleanFunction, max_n: int = MAX_N) -> Hypergraph:
     """The hypergraph of f, i.e. its XOR polynomial; exponential in the
     arity by construction."""
-    if f.arity > max_n:
-        raise ValueError(f"arity {f.arity} exceeds the configured cap {max_n}")
+    check_arity(f.arity, max_n)
     return anf(f)
 
 
@@ -82,8 +84,7 @@ def parse_anf_text(text: str, vertex_count: Optional[int] = None) -> Hypergraph:
     header = lines[0].split()
     if len(header) != 2 or header[0] != "c" or header[1] not in ("0", "1"):
         raise ParseError(f"expected 'c 0' or 'c 1' header, got {lines[0]!r}")
-    constant = int(header[1])
-    edges: list[frozenset[int]] = []
+    edges: set[frozenset[int]] = set()
     for line in lines[1:]:
         try:
             vertices = [int(token) for token in line.split()]
@@ -96,7 +97,7 @@ def parse_anf_text(text: str, vertex_count: Optional[int] = None) -> Hypergraph:
             raise ParseError(f"repeated vertex in monomial {line!r}")
         if edge in edges:
             raise ParseError(f"duplicate monomial {line!r}")
-        edges.append(edge)
+        edges.add(edge)
     inferred = 1 + max((max(edge) for edge in edges), default=-1)
     if vertex_count is None:
         if inferred == 0:
@@ -106,7 +107,9 @@ def parse_anf_text(text: str, vertex_count: Optional[int] = None) -> Hypergraph:
         raise ParseError(
             f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}"
         )
-    return Hypergraph(vertex_count, constant, frozenset(edges))
+    check_arity(vertex_count)
+    masks = [sum(1 << v for v in edge) for edge in edges]
+    return Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

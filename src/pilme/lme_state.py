@@ -1,10 +1,11 @@
 """Equal-weight sign states: product tests, factorization, certificates.
 
 A state is the sign pattern of a 2**n amplitude vector whose entries are
-all +-1/sqrt(2**n); the pattern is packed into an int exactly like a
-truth table (bit set means minus).  Membership in the set of plus/minus
-product states, up to a global sign, then reduces to block comparisons
-on the packed bits, and non-membership has a four-point witness.
+all +-1/sqrt(2**n); bit i set means the coefficient of |i> is minus.
+That pattern is the truth table of its generating function, so a state
+is a BooleanFunction.  Membership in the set of plus/minus product
+states, up to a global sign, then reduces to block comparisons on the
+packed bits, and non-membership has a four-point witness.
 """
 
 from __future__ import annotations
@@ -12,35 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .boolfn import BooleanFunction, evaluate
+from .boolfn import BooleanFunction, evaluate, variable_table
 
 
 class NotProductError(ValueError):
     """The state does not factor into single-qubit plus/minus states."""
-
-
-@dataclass(frozen=True)
-class PiLmeState:
-    """Packed sign vector: bit i set means the coefficient of |i> is -1."""
-
-    qubit_count: int
-    signs: int
-
-    def __post_init__(self) -> None:
-        if self.qubit_count < 1:
-            raise ValueError("qubit_count must be at least 1")
-        if self.signs < 0 or self.signs.bit_length() > (1 << self.qubit_count):
-            raise ValueError("signs do not fit in 2**qubit_count bits")
-
-    @property
-    def dimension(self) -> int:
-        return 1 << self.qubit_count
-
-    def sign(self, index: int) -> int:
-        """Coefficient sign of basis state |index>, as +1 or -1."""
-        if not 0 <= index < self.dimension:
-            raise IndexError(f"basis index {index} out of range")
-        return -1 if (self.signs >> index) & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -63,17 +40,15 @@ class FactorDecomposition:
         if any(eps not in (1, -1) for eps in self.factors):
             raise ValueError("factors must be +1 or -1")
 
-    def to_state(self) -> PiLmeState:
-        """Expand the tensor product back into a packed sign vector."""
-        signs = 0
-        for i in range(1 << len(self.factors)):
-            s = self.global_sign
-            for k, eps in enumerate(self.factors):
-                if (i >> k) & 1:
-                    s *= eps
-            if s < 0:
-                signs |= 1 << i
-        return PiLmeState(len(self.factors), signs)
+    def to_state(self) -> BooleanFunction:
+        """Expand the tensor product back into a packed sign vector: each
+        minus factor flips the sign wherever its qubit is set."""
+        n = len(self.factors)
+        signs = (1 << (1 << n)) - 1 if self.global_sign < 0 else 0
+        for k, eps in enumerate(self.factors):
+            if eps < 0:
+                signs ^= variable_table(k, n)
+        return BooleanFunction(n, signs)
 
 
 @dataclass(frozen=True)
@@ -90,13 +65,13 @@ class Certificate:
             raise ValueError("certificate indices must be non-negative")
 
 
-def state_from_function(f: BooleanFunction) -> PiLmeState:
+def state_from_function(f: BooleanFunction) -> BooleanFunction:
     """Sign state whose coefficient of |i> is (-1)**f(i); the sign vector
-    is the truth table bit-for-bit."""
-    return PiLmeState(f.arity, f.table)
+    is the truth table bit-for-bit, so the state is f itself."""
+    return f
 
 
-def is_osm(state: PiLmeState) -> bool:
+def is_osm(state: BooleanFunction) -> bool:
     """True when the state is a product of single-qubit plus/minus states,
     up to a global sign.
 
@@ -108,17 +83,10 @@ def is_osm(state: PiLmeState) -> bool:
     prefix and the n first-block checks (2**n - 1 sign comparisons in
     total) are sufficient for the full product structure.
     """
-    for k in range(state.qubit_count):
-        width = 1 << k
-        mask = (1 << width) - 1
-        low = state.signs & mask
-        nxt = (state.signs >> width) & mask
-        if nxt != low and nxt != low ^ mask:
-            return False
-    return True
+    return find_certificate(state) is None
 
 
-def factorize(state: PiLmeState) -> FactorDecomposition:
+def factorize(state: BooleanFunction) -> FactorDecomposition:
     """Decompose a product state into its global sign and per-qubit factors.
 
     The global sign is the sign of |0...0>; qubit k is |+> iff |2**k| has
@@ -126,15 +94,15 @@ def factorize(state: PiLmeState) -> FactorDecomposition:
     """
     if not is_osm(state):
         raise NotProductError("state is not a product of plus/minus factors")
-    base = state.signs & 1
+    base = state.table & 1
     factors = tuple(
-        1 if ((state.signs >> (1 << k)) & 1) == base else -1
-        for k in range(state.qubit_count)
+        1 if ((state.table >> (1 << k)) & 1) == base else -1
+        for k in range(state.arity)
     )
     return FactorDecomposition(-1 if base else 1, factors)
 
 
-def find_certificate(state: PiLmeState) -> Optional[Certificate]:
+def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
     """Search the block tests for a violation; None iff the state is a product.
 
     k is the smallest failing level.  With d(i) the XOR of the sign bits
@@ -142,11 +110,11 @@ def find_certificate(state: PiLmeState) -> Optional[Certificate]:
     first failing level l is 0 and m is the smallest index whose d value
     differs from d(0).
     """
-    for k in range(state.qubit_count):
+    for k in range(state.arity):
         width = 1 << k
         mask = (1 << width) - 1
-        low = state.signs & mask
-        nxt = (state.signs >> width) & mask
+        low = state.table & mask
+        nxt = (state.table >> width) & mask
         d = low ^ nxt
         if d == 0 or d == mask:
             continue
@@ -184,12 +152,12 @@ def count_osm_states(n: int) -> int:
         raise ValueError("n must be at least 1")
     if n > 4:
         raise ValueError("exhaustive census is limited to n <= 4")
-    return sum(1 for v in range(1 << (1 << n)) if is_osm(PiLmeState(n, v)))
+    return sum(1 for v in range(1 << (1 << n)) if is_osm(BooleanFunction(n, v)))
 
 
-def is_entangled(state: PiLmeState) -> bool:
+def is_entangled(state: BooleanFunction) -> bool:
     """Entanglement is the complement of product membership for this state
     family; undefined (an error) on a single qubit."""
-    if state.qubit_count < 2:
+    if state.arity < 2:
         raise ValueError("entanglement is undefined for a single qubit")
     return not is_osm(state)

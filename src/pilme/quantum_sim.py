@@ -15,9 +15,9 @@ from typing import Literal
 
 import numpy as np
 
-from .boolfn import BooleanFunction, classify, sat_brute
-from .lme_state import PiLmeState, is_osm
-from .reductions import SatVerdict, TraceStep
+from .boolfn import BooleanFunction, classify
+from .lme_state import is_osm
+from .reductions import SatVerdict, TraceStep, witness_lookup
 
 # 2**21 float64 amplitudes (state plus ancilla) is 16 MiB.
 SIM_MAX_N = 20
@@ -123,12 +123,12 @@ def prepare_psi_f(f: BooleanFunction, max_n: int = SIM_MAX_N) -> StateVector:
     return StateVector(n, lower * math.sqrt(2.0))
 
 
-def signs_from_state(sv: StateVector) -> PiLmeState:
+def signs_from_state(sv: StateVector) -> BooleanFunction:
     """Read the packed sign pattern off an equal-weight real state."""
     scale = 1.0 / math.sqrt(sv.amplitudes.size)
     if float(np.max(np.abs(np.abs(sv.amplitudes) - scale))) > NORM_TOL:
         raise ValueError("amplitudes are not an equal-weight sign pattern")
-    return PiLmeState(sv.qubit_count, _pack_bits(sv.amplitudes < 0))
+    return BooleanFunction(sv.qubit_count, _pack_bits(sv.amplitudes < 0))
 
 
 def zero_outcome_probability(f: BooleanFunction, max_n: int = SIM_MAX_N) -> float:
@@ -169,20 +169,14 @@ def algorithm1_end_to_end(f: BooleanFunction, max_n: int = SIM_MAX_N) -> SatVerd
     )
     if not is_osm(signs_from_state(psi)):
         trace.append(TraceStep("product_test", 1, "satisfiable", "simulated state is not a product"))
-        trace.append(
-            TraceStep("witness_lookup", 1, None, "oracle-assisted: witness found by exhaustive search")
-        )
-        return SatVerdict(True, sat_brute(f), tuple(trace))
+        return witness_lookup(f, trace, 1)
     trace.append(
         TraceStep("product_test", 1, None, "simulated state is a product: f is constant or balanced")
     )
     outcome = deutsch_jozsa(f, max_n=max_n)
     if outcome == "balanced":
         trace.append(TraceStep("deutsch_jozsa", 1, "satisfiable", "balanced"))
-        trace.append(
-            TraceStep("witness_lookup", 1, None, "oracle-assisted: witness found by exhaustive search")
-        )
-        return SatVerdict(True, sat_brute(f), tuple(trace))
+        return witness_lookup(f, trace, 1)
     trace.append(TraceStep("deutsch_jozsa", 1, None, "constant"))
     readout = apply_uf(basis_state(f.arity + 1, 0), f, f.arity)
     p_one = float(readout.amplitudes[1 << f.arity] ** 2)
@@ -201,22 +195,22 @@ def algorithm1_end_to_end(f: BooleanFunction, max_n: int = SIM_MAX_N) -> SatVerd
 # State discrimination
 
 
-def overlap(a: PiLmeState, b: PiLmeState) -> float:
+def overlap(a: BooleanFunction, b: BooleanFunction) -> float:
     """Inner product of two sign states: 1 - 2 * hamming(signs) / 2**n."""
-    if a.qubit_count != b.qubit_count:
+    if a.arity != b.arity:
         raise ValueError("qubit counts differ")
-    differing = (a.signs ^ b.signs).bit_count()
-    return 1.0 - 2.0 * differing / a.dimension
+    differing = (a.table ^ b.table).bit_count()
+    return 1.0 - 2.0 * differing / a.size
 
 
-def helstrom_error(a: PiLmeState, b: PiLmeState) -> float:
+def helstrom_error(a: BooleanFunction, b: BooleanFunction) -> float:
     """Minimum one-shot error probability for discriminating two equally
     likely pure states: (1 - sqrt(1 - overlap**2)) / 2."""
     ov = overlap(a, b)
     return 0.5 * (1.0 - math.sqrt(1.0 - ov * ov))
 
 
-def helstrom_error_copies(a: PiLmeState, b: PiLmeState, copies: int) -> float:
+def helstrom_error_copies(a: BooleanFunction, b: BooleanFunction, copies: int) -> float:
     """Helstrom error when `copies` independent copies of the unknown state
     are available; the pair overlap contracts to overlap**copies."""
     if copies < 1:
@@ -225,17 +219,11 @@ def helstrom_error_copies(a: PiLmeState, b: PiLmeState, copies: int) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - ov * ov))
 
 
-def unique_sat_pair(n: int, max_n: int = SIM_MAX_N) -> tuple[PiLmeState, PiLmeState]:
+def unique_sat_pair(n: int, max_n: int = SIM_MAX_N) -> tuple[BooleanFunction, BooleanFunction]:
     """The hardest no-instance/unique-instance pair: the all-plus state of
     the all-zeros function and the state with only the sign of |0...0>
     flipped (the indicator of the all-zeros string).  Their overlap is
     1 - 2/2**n, exponentially close to one."""
     if not 1 <= n <= max_n:
         raise ValueError(f"n must be between 1 and {max_n}")
-    return PiLmeState(n, 0), PiLmeState(n, 1)
-
-
-def amplitudes_json(sv: StateVector) -> str:
-    """Amplitudes as a JSON array rendered with 17 significant decimal
-    digits, enough to round-trip float64 exactly."""
-    return "[" + ", ".join(format(a, ".17g") for a in sv.amplitudes) + "]"
+    return BooleanFunction(n, 0), BooleanFunction(n, 1)

@@ -19,13 +19,13 @@ from .boolfn import (
     evaluate,
     sat_brute,
 )
-from .lme_state import is_osm, state_from_function
+from .lme_state import is_osm
 
 
 def cosm_star(f: BooleanFunction) -> bool:
     """Decision problem: does the sign state of f factor into plus/minus
     qubits (up to a global sign)?"""
-    return is_osm(state_from_function(f))
+    return is_osm(f)
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,15 @@ class SatVerdict:
     trace: tuple[TraceStep, ...]
 
 
+def witness_lookup(f: BooleanFunction, trace: list[TraceStep], oracle_calls: int) -> SatVerdict:
+    """Close a pipeline that concluded satisfiability without touching an
+    assignment: the witness comes from brute force, and the trace says so."""
+    trace.append(
+        TraceStep("witness_lookup", oracle_calls, None, "oracle-assisted: witness found by exhaustive search")
+    )
+    return SatVerdict(True, sat_brute(f), tuple(trace))
+
+
 def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
     """Decide SAT for f with at most two product-membership oracle calls.
 
@@ -64,10 +73,7 @@ def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
         trace.append(
             TraceStep("oracle_on_f", 1, "satisfiable", "sign state of f is not a product")
         )
-        trace.append(
-            TraceStep("witness_lookup", 1, None, "oracle-assisted: witness found by exhaustive search")
-        )
-        return SatVerdict(True, sat_brute(f), tuple(trace))
+        return witness_lookup(f, trace, 1)
     trace.append(
         TraceStep("oracle_on_f", 1, None, "product state: f is constant or balanced")
     )
@@ -79,10 +85,7 @@ def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
                 "conjoined state is not a product, so f is balanced",
             )
         )
-        trace.append(
-            TraceStep("witness_lookup", 2, None, "oracle-assisted: witness found by exhaustive search")
-        )
-        return SatVerdict(True, sat_brute(f), tuple(trace))
+        return witness_lookup(f, trace, 2)
     trace.append(
         TraceStep("oracle_on_conjoined", 2, None, "product state: f is constant")
     )

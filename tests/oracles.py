@@ -17,6 +17,18 @@ def brute_anf_coefficients(table: int, n: int) -> int:
     return out
 
 
+def coeff_from_edges(constant: int, edges) -> int:
+    """Packed XOR-polynomial coefficients of an edge list: bit 0 is the
+    constant, bit S is set for the edge over the vertex set S."""
+    coeff = constant
+    for edge in edges:
+        mask = 0
+        for v in edge:
+            mask |= 1 << v
+        coeff |= 1 << mask
+    return coeff
+
+
 def brute_anf_value(constant: int, edges, point: int) -> int:
     """Evaluate an XOR polynomial at one point from its edge list."""
     acc = constant

@@ -15,7 +15,6 @@ from pilme.boolfn import BooleanFunction, classify, evaluate, from_table_hex, sa
 from pilme.hypergraph import entangling_edge_exists, hypergraph_of
 from pilme.lme_state import (
     Certificate,
-    PiLmeState,
     count_osm_states,
     find_certificate,
     is_osm,
@@ -56,7 +55,7 @@ def test_criterion_02_block_test_soundness_and_completeness():
     for n in range(1, 5):
         members = product_sign_vectors(n)
         for signs in range(1 << (1 << n)):
-            state = PiLmeState(n, signs)
+            state = BooleanFunction(n, signs)
             member = signs in members
             if is_osm(state) != member:
                 ok = False
@@ -80,13 +79,13 @@ def test_criterion_03_products_are_constant_or_balanced():
     ok = True
     for n in range(1, 5):
         for signs in range(1 << (1 << n)):
-            if is_osm(PiLmeState(n, signs)):
+            if is_osm(BooleanFunction(n, signs)):
                 if classify(BooleanFunction(n, signs)).kind == "neither":
                     ok = False
     for n in (1, 2):
         half = 1 << (n - 1)
         for signs in range(1 << (1 << n)):
-            if signs.bit_count() == half and not is_osm(PiLmeState(n, signs)):
+            if signs.bit_count() == half and not is_osm(BooleanFunction(n, signs)):
                 ok = False
     ghz = from_table_hex(GHZ_HEX, 3)
     ok = ok and classify(ghz).kind == "balanced"

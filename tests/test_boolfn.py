@@ -31,7 +31,7 @@ from pilme.boolfn import (
     to_table_hex,
 )
 
-from oracles import brute_anf_coefficients, pointwise_satisfying_count
+from oracles import brute_anf_coefficients, coeff_from_edges, pointwise_satisfying_count
 
 
 @st.composite
@@ -260,8 +260,8 @@ def test_anf_matches_brute_force_exhaustive_n3():
 
 
 def test_from_anf_examples():
-    assert from_anf(Hypergraph(2, 0, frozenset({frozenset({0, 1})}))).table == 0b1000
-    assert from_anf(Hypergraph(3, 1, frozenset())).table == 0xFF
+    assert from_anf(Hypergraph(2, coeff_from_edges(0, frozenset({frozenset({0, 1})})))).table == 0b1000
+    assert from_anf(Hypergraph(3, coeff_from_edges(1, frozenset()))).table == 0xFF
 
 
 def test_from_anf_round_trip_or():
@@ -271,7 +271,7 @@ def test_from_anf_round_trip_or():
 
 def test_from_anf_rejects_arity_above_cap():
     with pytest.raises(ValueError):
-        from_anf(Hypergraph(25, 0, frozenset()))
+        from_anf(Hypergraph(25, coeff_from_edges(0, frozenset())))
 
 
 def test_mobius_involution_exhaustive_n3():
@@ -300,7 +300,7 @@ def test_mobius_involution_random(f):
 )
 def test_anf_of_from_anf_is_identity(case):
     n, constant, edges = case
-    h = Hypergraph(n, constant, edges)
+    h = Hypergraph(n, coeff_from_edges(constant, edges))
     assert anf(from_anf(h)) == h
 
 
@@ -404,8 +404,11 @@ def test_boolean_function_validation():
 
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
-        Hypergraph(2, 2, frozenset())
+        Hypergraph(0, 0)
     with pytest.raises(ValueError):
-        Hypergraph(2, 0, frozenset({frozenset()}))
+        Hypergraph(2, 1 << 4)  # coefficient of a monomial over vertex 2
     with pytest.raises(ValueError):
-        Hypergraph(2, 0, frozenset({frozenset({2})}))
+        Hypergraph(2, -1)
+    assert Hypergraph(2, (1 << 4) - 1).edges == frozenset(
+        {frozenset({0}), frozenset({1}), frozenset({0, 1})}
+    )

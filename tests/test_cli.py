@@ -240,3 +240,11 @@ def test_bad_env_var_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("PILME_MAX_N", "lots")
     assert cli.run(["classify", "x1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "formula", ["!" * 5000 + "x1", "(" * 3000 + "x1" + ")" * 3000], ids=["negations", "parentheses"]
+)
+def test_deeply_nested_formula_exits_2_with_one_line(capsys, formula):
+    assert cli.run(["classify", formula]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"

@@ -14,7 +14,7 @@ from pilme.hypergraph import (
 )
 from pilme.lme_state import is_entangled, state_from_function
 
-from oracles import brute_anf_coefficients, brute_anf_value, product_sign_vectors
+from oracles import brute_anf_coefficients, brute_anf_value, coeff_from_edges, product_sign_vectors
 
 
 @st.composite
@@ -26,7 +26,7 @@ def hypergraphs(draw, max_n=8):
             st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n), max_size=10
         )
     )
-    return Hypergraph(n, constant, edges)
+    return Hypergraph(n, coeff_from_edges(constant, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -34,32 +34,32 @@ def hypergraphs(draw, max_n=8):
 
 
 def test_state_from_single_pair_edge():
-    h = Hypergraph(2, 0, frozenset({frozenset({0, 1})}))
-    assert state_from_hypergraph(h).signs == 0b1000
+    h = Hypergraph(2, coeff_from_edges(0, frozenset({frozenset({0, 1})})))
+    assert state_from_hypergraph(h).table == 0b1000
 
 
 def test_state_from_constant_only():
-    h = Hypergraph(3, 1, frozenset())
-    assert state_from_hypergraph(h).signs == 0xFF
+    h = Hypergraph(3, coeff_from_edges(1, frozenset()))
+    assert state_from_hypergraph(h).table == 0xFF
 
 
 def test_state_from_or_hypergraph():
     edges = frozenset({frozenset({0}), frozenset({1}), frozenset({0, 1})})
-    h = Hypergraph(2, 0, edges)
+    h = Hypergraph(2, coeff_from_edges(0, edges))
     # brute evaluation of the polynomial at all four points
     signs = 0
     for i in range(4):
         signs |= brute_anf_value(0, edges, i) << i
     assert signs == 0b1110
-    assert state_from_hypergraph(h).signs == signs
+    assert state_from_hypergraph(h).table == signs
 
 
 @given(hypergraphs())
 def test_state_from_hypergraph_matches_pointwise_polynomial(h):
     state = state_from_hypergraph(h)
-    for i in range(min(state.dimension, 64)):
+    for i in range(min(state.size, 64)):
         expected = brute_anf_value(h.constant_bit, h.edges, i)
-        assert ((state.signs >> i) & 1) == expected
+        assert ((state.table >> i) & 1) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +67,11 @@ def test_state_from_hypergraph_matches_pointwise_polynomial(h):
 
 
 def test_entangling_edge_exists_cases():
-    assert entangling_edge_exists(Hypergraph(2, 0, frozenset({frozenset({0, 1})})))
+    assert entangling_edge_exists(Hypergraph(2, coeff_from_edges(0, frozenset({frozenset({0, 1})}))))
     assert not entangling_edge_exists(
-        Hypergraph(3, 0, frozenset({frozenset({0}), frozenset({2})}))
+        Hypergraph(3, coeff_from_edges(0, frozenset({frozenset({0}), frozenset({2})})))
     )
-    assert not entangling_edge_exists(Hypergraph(2, 0, frozenset()))
+    assert not entangling_edge_exists(Hypergraph(2, coeff_from_edges(0, frozenset())))
 
 
 def test_ghz_hypergraph():
@@ -128,7 +128,7 @@ def test_degree_one_hypergraphs_generate_exactly_the_product_states():
         for constant in (0, 1):
             for subset in range(1 << n):
                 edges = frozenset(frozenset({k}) for k in range(n) if (subset >> k) & 1)
-                generated.add(state_from_hypergraph(Hypergraph(n, constant, edges)).signs)
+                generated.add(state_from_hypergraph(Hypergraph(n, coeff_from_edges(constant, edges))).table)
         assert generated == product_sign_vectors(n)
         assert len(generated) == 1 << (n + 1)
 
@@ -147,12 +147,19 @@ def test_render_and_parse_text_round_trip():
 def test_parse_text_requires_count_for_edge_free_input():
     with pytest.raises(ParseError):
         parse_anf_text("c 1\n")
-    assert parse_anf_text("c 1\n", vertex_count=3) == Hypergraph(3, 1, frozenset())
+    assert parse_anf_text("c 1\n", vertex_count=3) == Hypergraph(3, coeff_from_edges(1, frozenset()))
 
 
 def test_parse_text_explicit_count_must_cover_edges():
     with pytest.raises(ParseError):
         parse_anf_text("c 0\n0 2\n", vertex_count=2)
+
+
+def test_parse_text_refuses_vertex_counts_above_the_cap():
+    with pytest.raises(ValueError, match="arity 31 exceeds the configured cap 24"):
+        parse_anf_text("c 0\n0 30\n")
+    with pytest.raises(ValueError, match="exceeds the configured cap"):
+        parse_anf_text("c 1\n", vertex_count=25)
 
 
 def test_parse_text_rejects_malformed_input():

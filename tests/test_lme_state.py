@@ -10,7 +10,6 @@ from pilme.lme_state import (
     Certificate,
     FactorDecomposition,
     NotProductError,
-    PiLmeState,
     count_osm_states,
     factorize,
     find_certificate,
@@ -40,26 +39,26 @@ def product_states(draw, max_n=6):
 
 def test_state_from_identity_function_is_minus():
     state = state_from_function(BooleanFunction(1, 0b10))
-    assert (state.qubit_count, state.signs) == (1, 0b10)
-    assert (state.sign(0), state.sign(1)) == (1, -1)
+    assert (state.arity, state.table) == (1, 0b10)
+    assert (1 - 2 * evaluate(state, 0), 1 - 2 * evaluate(state, 1)) == (1, -1)
 
 
 def test_state_from_constant_zero_is_all_plus():
     state = state_from_function(BooleanFunction(3, 0))
-    assert state.signs == 0
+    assert state.table == 0
 
 
 def test_state_from_ghz_table():
-    assert GHZ_STATE.signs == 0xD1
+    assert GHZ_STATE.table == 0xD1
     expected = [-1, 1, 1, 1, -1, 1, -1, -1]
-    assert [GHZ_STATE.sign(i) for i in range(8)] == expected
+    assert [1 - 2 * evaluate(GHZ_STATE, i) for i in range(8)] == expected
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        PiLmeState(0, 0)
+        BooleanFunction(0, 0)
     with pytest.raises(ValueError):
-        PiLmeState(1, 4)
+        BooleanFunction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_state_validation():
 
 
 def test_is_osm_all_plus():
-    assert is_osm(PiLmeState(3, 0))
+    assert is_osm(BooleanFunction(3, 0))
 
 
 def test_is_osm_rejects_ghz():
@@ -75,14 +74,14 @@ def test_is_osm_rejects_ghz():
 
 
 def test_is_osm_accepts_minus_minus():
-    assert is_osm(PiLmeState(2, 0b0110))
+    assert is_osm(BooleanFunction(2, 0b0110))
 
 
 def test_is_osm_matches_brute_force_exhaustive():
     for n in range(1, 4):
         members = product_sign_vectors(n)
         for signs in range(1 << (1 << n)):
-            assert is_osm(PiLmeState(n, signs)) == (signs in members)
+            assert is_osm(BooleanFunction(n, signs)) == (signs in members)
 
 
 @given(product_states())
@@ -95,15 +94,15 @@ def test_every_product_expansion_is_accepted(decomp):
 
 
 def test_factorize_all_plus():
-    assert factorize(PiLmeState(2, 0)) == FactorDecomposition(1, (1, 1))
+    assert factorize(BooleanFunction(2, 0)) == FactorDecomposition(1, (1, 1))
 
 
 def test_factorize_minus_minus():
-    assert factorize(PiLmeState(2, 0b0110)) == FactorDecomposition(1, (-1, -1))
+    assert factorize(BooleanFunction(2, 0b0110)) == FactorDecomposition(1, (-1, -1))
 
 
 def test_factorize_global_minus():
-    assert factorize(PiLmeState(2, 0b1111)) == FactorDecomposition(-1, (1, 1))
+    assert factorize(BooleanFunction(2, 0b1111)) == FactorDecomposition(-1, (1, 1))
 
 
 def test_factorize_rejects_entangled_state():
@@ -128,12 +127,12 @@ def test_certificate_for_ghz():
 
 
 def test_no_certificate_for_product_state():
-    assert find_certificate(PiLmeState(3, 0)) is None
+    assert find_certificate(BooleanFunction(3, 0)) is None
 
 
 def test_certificate_for_and_state():
     # signs (+,+,+,-): level 1 fails with d(0)=0, d(1)=1
-    assert find_certificate(PiLmeState(2, 0b1000)) == Certificate(1, 0, 1)
+    assert find_certificate(BooleanFunction(2, 0b1000)) == Certificate(1, 0, 1)
 
 
 def test_verify_certificate_ghz():
@@ -171,7 +170,7 @@ def test_verify_certificate_uses_exactly_four_evaluations():
 def test_certificates_exhaustive_n3():
     for n in range(1, 4):
         for signs in range(1 << (1 << n)):
-            state = PiLmeState(n, signs)
+            state = BooleanFunction(n, signs)
             cert = find_certificate(state)
             if is_osm(state):
                 assert cert is None
@@ -206,12 +205,12 @@ def test_count_osm_states_rejects_large_n():
 
 def test_is_entangled_examples():
     assert is_entangled(GHZ_STATE)
-    assert not is_entangled(PiLmeState(2, 0))
+    assert not is_entangled(BooleanFunction(2, 0))
 
 
 def test_is_entangled_undefined_for_single_qubit():
     with pytest.raises(ValueError):
-        is_entangled(PiLmeState(1, 0b10))
+        is_entangled(BooleanFunction(1, 0b10))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,7 @@ def test_is_entangled_undefined_for_single_qubit():
 def test_product_states_are_constant_or_balanced_exhaustive_n3():
     for n in range(1, 4):
         for signs in range(1 << (1 << n)):
-            if is_osm(PiLmeState(n, signs)):
+            if is_osm(BooleanFunction(n, signs)):
                 kind = classify(BooleanFunction(n, signs)).kind
                 assert kind in ("constant0", "constant1", "balanced")
 
@@ -231,7 +230,7 @@ def test_all_balanced_states_are_products_for_n1_n2():
         half = 1 << (n - 1)
         for signs in range(1 << (1 << n)):
             if signs.bit_count() == half:
-                assert is_osm(PiLmeState(n, signs))
+                assert is_osm(BooleanFunction(n, signs))
 
 
 def test_ghz_is_balanced_but_not_product():

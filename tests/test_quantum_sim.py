@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,13 +13,12 @@ from pilme.boolfn import (
     parse_formula,
     sat_brute,
 )
-from pilme.lme_state import PiLmeState, state_from_function
+from pilme.lme_state import state_from_function
 from pilme.quantum_sim import (
     NORM_TOL,
     PromiseViolationError,
     StateVector,
     algorithm1_end_to_end,
-    amplitudes_json,
     apply_hadamard,
     apply_uf,
     basis_state,
@@ -266,21 +264,21 @@ def test_pipeline_membership_check_happens_once():
 
 
 def test_overlap_identical_states():
-    a = PiLmeState(3, 0b1010)
+    a = BooleanFunction(3, 0b1010)
     assert overlap(a, a) == 1.0
 
 
 def test_overlap_single_flip():
-    assert overlap(PiLmeState(2, 0), PiLmeState(2, 1)) == 0.5
+    assert overlap(BooleanFunction(2, 0), BooleanFunction(2, 1)) == 0.5
 
 
 def test_overlap_global_flip():
-    assert overlap(PiLmeState(2, 0), PiLmeState(2, 0b1111)) == -1.0
+    assert overlap(BooleanFunction(2, 0), BooleanFunction(2, 0b1111)) == -1.0
 
 
 def test_overlap_rejects_mismatched_sizes():
     with pytest.raises(ValueError):
-        overlap(PiLmeState(2, 0), PiLmeState(3, 0))
+        overlap(BooleanFunction(2, 0), BooleanFunction(3, 0))
 
 
 @given(
@@ -294,7 +292,7 @@ def test_overlap_rejects_mismatched_sizes():
 )
 def test_overlap_closed_form_matches_amplitude_dot_product(case):
     n, ta, tb = case
-    a, b = PiLmeState(n, ta), PiLmeState(n, tb)
+    a, b = BooleanFunction(n, ta), BooleanFunction(n, tb)
     sva = prepare_psi_f(BooleanFunction(n, ta))
     svb = prepare_psi_f(BooleanFunction(n, tb))
     direct = float(sva.amplitudes @ svb.amplitudes)
@@ -302,12 +300,12 @@ def test_overlap_closed_form_matches_amplitude_dot_product(case):
 
 
 def test_helstrom_identical_states_is_coin_flip():
-    a = PiLmeState(2, 0b0110)
+    a = BooleanFunction(2, 0b0110)
     assert helstrom_error(a, a) == 0.5
 
 
 def test_helstrom_orthogonal_states_is_zero():
-    assert helstrom_error(PiLmeState(1, 0), PiLmeState(1, 0b10)) == 0.0
+    assert helstrom_error(BooleanFunction(1, 0), BooleanFunction(1, 0b10)) == 0.0
 
 
 def test_helstrom_unique_sat_pair_n2():
@@ -327,7 +325,7 @@ def test_helstrom_copies_reduces_error():
 def test_unique_sat_pair_properties():
     for n in (2, 3, 10, 20):
         a, b = unique_sat_pair(n)
-        assert a.signs == 0 and b.signs == 1
+        assert a.table == 0 and b.table == 1
         assert overlap(a, b) == 1.0 - 2.0 / (1 << n)
     with pytest.raises(ValueError):
         unique_sat_pair(21)
@@ -337,8 +335,8 @@ def test_unique_sat_pair_membership_split_even_at_cap():
     from pilme.reductions import cosm_star
 
     a, b = unique_sat_pair(20)
-    assert cosm_star(BooleanFunction(20, a.signs))
-    assert not cosm_star(BooleanFunction(20, b.signs))
+    assert cosm_star(BooleanFunction(20, a.table))
+    assert not cosm_star(BooleanFunction(20, b.table))
 
 
 def test_discrimination_gap_decays_at_the_square_root_rate():
@@ -348,13 +346,3 @@ def test_discrimination_gap_decays_at_the_square_root_rate():
         gap = 0.5 - helstrom_error(a, b)
         assert gap < 2.0 ** (-n / 2)
         assert gap > 2.0 ** (-n / 2 - 1)
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def test_amplitudes_json_round_trips_exactly():
-    sv = prepare_psi_f(GHZ)
-    parsed = json.loads(amplitudes_json(sv))
-    assert parsed == list(sv.amplitudes)

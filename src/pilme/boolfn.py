@@ -89,8 +89,8 @@ class Hypergraph:
     def constant_bit(self) -> int:
         return self.coeff & 1
 
-    # Cached: reading the edges is a full pass over `coeff`, and the CLI
-    # renders both the JSON and the text form of one hypergraph.
+    # Cached: reading the edges is a full pass over `coeff`, and `edges`
+    # and `sorted_edges()` both read them.
     @cached_property
     def _edge_tuples(self) -> tuple[tuple[int, ...], ...]:
         edges = [tuple(_set_bits(mask)) for mask in _set_bits(self.coeff) if mask]
@@ -326,15 +326,18 @@ def parse_dimacs_clauses(text: str) -> tuple[int, list[list[int]]]:
     """Return (variable_count, clauses) from DIMACS CNF text.
 
     Comment lines start with ``c``; the header is ``p cnf <vars> <clauses>``;
-    clauses are 0-terminated literal lists and may span lines.  Duplicate
-    literals are kept and the declared clause count is not enforced, which
-    matches what solvers accept.
+    clauses are 0-terminated literal lists and may span lines.  A line
+    that is exactly ``%`` (the SATLIB end marker) ends the clause list.
+    Duplicate literals are kept and the declared clause count is not
+    enforced, which matches what solvers accept.
     """
     var_count: Optional[int] = None
     clauses: list[list[int]] = []
     current: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
+        if line == "%":  # SATLIB end marker; what follows is not clauses
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
@@ -418,10 +421,6 @@ def serialize_dimacs(var_count: int, clauses: Iterable[Iterable[int]]) -> str:
 # Table construction and queries
 
 
-def _all_ones(n: int) -> int:
-    return (1 << (1 << n)) - 1
-
-
 def variable_table(k: int, n: int) -> int:
     """Packed truth table of the projection onto bit k: bit i = bit k of i."""
     if not 0 <= k < n:
@@ -436,43 +435,70 @@ def variable_table(k: int, n: int) -> int:
     return block
 
 
-def _packed_eval(node: FormulaAST, n: int) -> int:
-    full = _all_ones(n)
-    if isinstance(node, Var):
-        if node.index > n:
-            raise ValueError(f"variable x{node.index} out of range for arity {n}")
-        return variable_table(node.index - 1, n)
-    if isinstance(node, Const):
-        return full if node.value else 0
-    if isinstance(node, Not):
-        return full ^ _packed_eval(node.arg, n)
-    if isinstance(node, And):
-        out = full
-        for arg in node.args:
-            out &= _packed_eval(arg, n)
-        return out
-    if isinstance(node, Or):
-        out = 0
-        for arg in node.args:
-            out |= _packed_eval(arg, n)
-        return out
-    if isinstance(node, Xor):
-        out = 0
-        for arg in node.args:
-            out ^= _packed_eval(arg, n)
-        return out
-    if isinstance(node, Implies):
-        return (full ^ _packed_eval(node.antecedent, n)) | _packed_eval(node.consequent, n)
-    if isinstance(node, Iff):
-        return full ^ _packed_eval(node.left, n) ^ _packed_eval(node.right, n)
-    raise TypeError(f"not a formula node: {node!r}")
+# Variables per block of the blocked evaluator.  A block of 2**18 entries
+# is a 32 KiB int, so a node's operands and result stay in the per-core
+# cache while the AST is walked over it; a whole table at n = 24 is 2 MiB
+# and does not.  Smaller blocks multiply the per-node interpreter cost by
+# the block count for no further cache gain.
+_BLOCK_BITS = 18
+
+
+def _packed_eval(ast: FormulaAST, n: int) -> int:
+    # The low `low` variables vary inside a block and are read off shared
+    # projection tables; every higher variable is constant across a block,
+    # all ones or 0 by the block number's bits.
+    low = min(n, _BLOCK_BITS)
+    ones = (1 << (1 << low)) - 1
+    projections = [variable_table(k, low) for k in range(low)]
+
+    def block(node: FormulaAST, number: int) -> int:
+        if isinstance(node, Var):
+            if not 1 <= node.index <= n:
+                raise ValueError(f"variable x{node.index} out of range for arity {n}")
+            k = node.index - 1
+            if k < low:
+                return projections[k]
+            return ones if (number >> (k - low)) & 1 else 0
+        if isinstance(node, Const):
+            return ones if node.value else 0
+        if isinstance(node, Not):
+            return ones ^ block(node.arg, number)
+        if isinstance(node, And):
+            out = ones
+            for arg in node.args:
+                out &= block(arg, number)
+            return out
+        if isinstance(node, Or):
+            out = 0
+            for arg in node.args:
+                out |= block(arg, number)
+            return out
+        if isinstance(node, Xor):
+            out = 0
+            for arg in node.args:
+                out ^= block(arg, number)
+            return out
+        if isinstance(node, Implies):
+            return (ones ^ block(node.antecedent, number)) | block(node.consequent, number)
+        if isinstance(node, Iff):
+            return ones ^ block(node.left, number) ^ block(node.right, number)
+        raise TypeError(f"not a formula node: {node!r}")
+
+    nbytes = ((1 << low) + 7) // 8
+    return int.from_bytes(
+        b"".join(block(ast, number).to_bytes(nbytes, "little") for number in range(1 << (n - low))),
+        "little",
+    )
 
 
 def compile(ast: FormulaAST, arity: int, max_n: int = MAX_N) -> BooleanFunction:
     """Materialize the truth table of ast over the given arity.
 
-    The AST is evaluated once over whole packed tables (one wide bit
-    operation per node), not per assignment.
+    The AST is evaluated over packed tables, one bit operation per node,
+    not per assignment.  Above 2**18 entries the table is built one
+    2**18-entry block at a time: the low 18 variables vary inside a block
+    and the higher ones are constants, so every operand stays small enough
+    for the cache and the peak memory stays near the table's own size.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")

@@ -134,7 +134,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
 def _cmd_separable(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     f = load_function(cfg)
-    osm = lme_state.is_osm(f)
+    cert = lme_state.find_certificate(f)
+    osm = cert is None
     if osm:
         decomposition = lme_state.factorize(f)
         dec_facts = {
@@ -144,8 +145,6 @@ def _cmd_separable(args: argparse.Namespace) -> int:
         cert_facts = None
         detail = f"decomposition: global={dec_facts['global']} factors={''.join(dec_facts['factors'])}"
     else:
-        cert = lme_state.find_certificate(f)
-        assert cert is not None
         dec_facts = None
         cert_facts = {"k": cert.k, "l": cert.l, "m": cert.m}
         detail = f"certificate: k={cert.k} l={cert.l} m={cert.m}"
@@ -164,8 +163,12 @@ def _cmd_anf(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     f = load_function(cfg)
     graph = hypergraph.hypergraph_of(f, max_n=cfg.max_n)
-    facts = hypergraph.hypergraph_to_json(graph)
-    _emit(facts, cfg.as_json, hypergraph.render_anf_text(graph))
+    # Only the printed form is built: the text of a dense hypergraph alone
+    # costs several times its JSON dict.
+    if cfg.as_json:
+        print(json.dumps(hypergraph.hypergraph_to_json(graph)))
+    else:
+        sys.stdout.write(hypergraph.render_anf_text(graph))
     return 0
 
 
@@ -174,9 +177,12 @@ def _cmd_hypergraph(args: argparse.Namespace) -> int:
     f = load_function(cfg)
     graph = hypergraph.hypergraph_of(f, max_n=cfg.max_n)
     entangling = hypergraph.entangling_edge_exists(graph)
-    facts = {**hypergraph.hypergraph_to_json(graph), "entangling": entangling}
-    human = hypergraph.render_anf_text(graph) + f"entangling: {str(entangling).lower()}\n"
-    _emit(facts, cfg.as_json, human)
+    if cfg.as_json:
+        print(json.dumps({**hypergraph.hypergraph_to_json(graph), "entangling": entangling}))
+    else:
+        sys.stdout.write(
+            hypergraph.render_anf_text(graph) + f"entangling: {str(entangling).lower()}\n"
+        )
     return 0
 
 
@@ -185,11 +191,9 @@ def _cmd_reduce_karp(args: argparse.Namespace) -> int:
     f = load_function(cfg)
     g = reductions.karp_reduce(f, max_n=cfg.max_n)
     count = boolfn.classify(g).satisfying_count
-    facts = {"n": g.arity, "table_hex": boolfn.to_table_hex(g), "satisfying_count": count}
-    human = (
-        f"n: {g.arity}\ntable_hex: {boolfn.to_table_hex(g)}\n"
-        f"satisfying_count: {count}\n"
-    )
+    table_hex = boolfn.to_table_hex(g)
+    facts = {"n": g.arity, "table_hex": table_hex, "satisfying_count": count}
+    human = f"n: {g.arity}\ntable_hex: {table_hex}\nsatisfying_count: {count}\n"
     _emit(facts, cfg.as_json, human)
     return 0
 

@@ -94,9 +94,11 @@ def factorize(state: BooleanFunction) -> FactorDecomposition:
     """
     if not is_osm(state):
         raise NotProductError("state is not a product of plus/minus factors")
+    # Bit 2**k is read by masking it alone, O(2**k), not by shifting the
+    # whole table down to it.
     base = state.table & 1
     factors = tuple(
-        1 if ((state.table >> (1 << k)) & 1) == base else -1
+        1 if bool(state.table & (1 << (1 << k))) == base else -1
         for k in range(state.arity)
     )
     return FactorDecomposition(-1 if base else 1, factors)
@@ -113,9 +115,10 @@ def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
     for k in range(state.arity):
         width = 1 << k
         mask = (1 << width) - 1
-        low = state.table & mask
-        nxt = (state.table >> width) & mask
-        d = low ^ nxt
+        # Cut out the pair [0, 2**(k+1)) before shifting, so level k costs
+        # O(2**k) and not a shift of the whole table.
+        pair = state.table & ((1 << (2 * width)) - 1)
+        d = (pair & mask) ^ (pair >> width)
         if d == 0 or d == mask:
             continue
         flipped = d ^ mask if d & 1 else d

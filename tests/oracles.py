@@ -3,6 +3,8 @@ the library's packed-int tricks: plain per-index loops only."""
 
 import itertools
 
+from pilme.boolfn import And, Const, Iff, Implies, Not, Or, Var, Xor
+
 
 def brute_anf_coefficients(table: int, n: int) -> int:
     """XOR-polynomial coefficients by direct subset sums: bit S of the
@@ -57,3 +59,51 @@ def product_sign_vectors(n: int) -> set[int]:
 
 def pointwise_satisfying_count(table: int, n: int) -> int:
     return sum((table >> i) & 1 for i in range(1 << n))
+
+
+def evaluate_ast(node, point: int) -> int:
+    """Value of a formula AST at one assignment (bit k of `point` is
+    x_{k+1}), by walking the tree for that single point."""
+    if isinstance(node, Var):
+        return (point >> (node.index - 1)) & 1
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Not):
+        return 1 - evaluate_ast(node.arg, point)
+    if isinstance(node, And):
+        return int(all(evaluate_ast(arg, point) for arg in node.args))
+    if isinstance(node, Or):
+        return int(any(evaluate_ast(arg, point) for arg in node.args))
+    if isinstance(node, Xor):
+        acc = 0
+        for arg in node.args:
+            acc ^= evaluate_ast(arg, point)
+        return acc
+    if isinstance(node, Implies):
+        return int(not evaluate_ast(node.antecedent, point) or evaluate_ast(node.consequent, point))
+    if isinstance(node, Iff):
+        return int(evaluate_ast(node.left, point) == evaluate_ast(node.right, point))
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def product_table(n: int, global_minus: int, minus_mask: int) -> int:
+    """Sign vector of a product state: entry i is minus iff global_minus
+    XOR the parity of the minus qubits set in i."""
+    bits = [global_minus ^ (bin(i & minus_mask).count("1") & 1) for i in range(1 << n)]
+    return int("".join(map(str, reversed(bits))), 2)
+
+
+def pointwise_certificate(table: int, n: int):
+    """First failing block comparison as (k, 0, m), or None for a product.
+
+    Level k compares d(i) = f(i) xor f(2**k + i) with d(0) for each i in
+    [0, 2**k), one entry at a time; m is the first i that differs.
+    """
+    bits = [int(ch) for ch in reversed(format(table, f"0{1 << n}b"))]
+    for k in range(n):
+        width = 1 << k
+        d0 = bits[0] ^ bits[width]
+        for m in range(width):
+            if bits[m] ^ bits[width + m] != d0:
+                return (k, 0, m)
+    return None

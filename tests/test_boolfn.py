@@ -1,8 +1,12 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pilme.boolfn import (
+    _BLOCK_BITS,
     And,
     BooleanFunction,
     Const,
@@ -31,7 +35,12 @@ from pilme.boolfn import (
     to_table_hex,
 )
 
-from oracles import brute_anf_coefficients, coeff_from_edges, pointwise_satisfying_count
+from oracles import (
+    brute_anf_coefficients,
+    coeff_from_edges,
+    evaluate_ast,
+    pointwise_satisfying_count,
+)
 
 
 @st.composite
@@ -137,6 +146,12 @@ def test_dimacs_no_clauses_is_constant_true():
     assert f.table == 0b1111
 
 
+def test_dimacs_satlib_end_marker_ends_the_clauses():
+    # SATLIB uf* files end with a "%" line and a stray "0".
+    text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+    assert parse_dimacs_clauses(text) == (3, [[1, -2, 3], [-1, 2]])
+
+
 @given(
     st.integers(1, 6).flatmap(
         lambda nv: st.tuples(
@@ -191,6 +206,74 @@ def test_compile_rejects_arity_above_cap():
     compile(Var(1), 5, max_n=5)
     with pytest.raises(ValueError):
         compile(Var(1), 6, max_n=5)
+
+
+# Above _BLOCK_BITS variables compile builds the table one block at a
+# time, with the high variables constant per block; these run it on both
+# sides of that edge against a per-assignment evaluation of the AST.
+
+
+def _random_3cnf(rng: random.Random, n: int, clause_count: int) -> list[list[int]]:
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        for _ in range(clause_count)
+    ]
+
+
+def _every_node_formula(n: int):
+    # Each operator has x_n or x_{n-1} as a direct argument, so above the
+    # block size every operator sees a high variable.
+    hi, hi2, lo, mid = Var(n), Var(n - 1), Var(1), Var(n // 2)
+    left = Xor((hi, Or((lo, hi2)), And((mid, hi, Not(Var(2)))), Const(1)))
+    right = Implies(hi2, Or((Not(hi), Iff(hi, Var(3)), Const(0))))
+    return Iff(left, right)
+
+
+def _sample_points(rng: random.Random, n: int) -> list[int]:
+    block = 1 << min(n, _BLOCK_BITS)
+    edges = [p for start in range(0, 1 << n, block) for p in (start, start + block - 1)]
+    return edges + [rng.randrange(1 << n) for _ in range(2000 - len(edges))]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+def test_compile_matches_pointwise_ast_across_the_block_edge(offset):
+    n = _BLOCK_BITS + offset
+    rng = random.Random(n)
+    formulas = [
+        clauses_to_ast(_random_3cnf(rng, n, 8)),
+        clauses_to_ast(_random_3cnf(rng, n, 2 * n)),
+        _every_node_formula(n),
+    ]
+    for ast in formulas:
+        f = compile(ast, n)
+        table = f.table
+        values = set()
+        # A dense CNF is true at few points; check its first one as well.
+        for point in _sample_points(rng, n) + [sat_brute(f) or 0]:
+            expected = evaluate_ast(ast, point)
+            assert (table >> point) & 1 == expected, (ast, point)
+            values.add(expected)
+        assert values == {0, 1}
+
+
+def test_compile_above_the_block_size_rejects_a_variable_past_the_arity():
+    n = _BLOCK_BITS + 1
+    with pytest.raises(ValueError, match=f"variable x{n + 1} out of range for arity {n}"):
+        compile(And((Var(1), Or((Var(n), Var(n + 1))))), n)
+
+
+def test_compile_peak_memory_stays_near_the_table_size():
+    n = 24
+    rng = random.Random(24)
+    ast = clauses_to_ast(_random_3cnf(rng, n, 102))
+    table_bytes = (1 << n) // 8
+    tracemalloc.start()
+    try:
+        compile(ast, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * table_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_evaluate_examples():

@@ -206,6 +206,15 @@ def test_bad_hex_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_sat_accepts_a_satlib_file_with_its_end_marker(capsys, tmp_path):
+    # SATLIB uf* files close with a "%" line followed by "0".
+    path = tmp_path / "uf3.cnf"
+    path.write_text("c uf3\np cnf 3 2\n 1 -2 3 0\n-1 -3 0\n%\n0\n\n")
+    payload = run_json(capsys, ["sat", str(path), "--format", "dimacs", "--json"])
+    validate("sat", payload)
+    assert payload["satisfiable"] is True
+
+
 def test_dimacs_arity_conflict_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 2 1\n1 2 0\n"))
     assert cli.run(["classify", "--format", "dimacs", "-", "--n", "3"]) == 2

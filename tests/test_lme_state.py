@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from pilme.lme_state import (
     verify_certificate,
 )
 
-from oracles import product_sign_vectors
+from oracles import pointwise_certificate, product_sign_vectors, product_table
 
 GHZ = from_table_hex("d1", 3)
 GHZ_STATE = state_from_function(GHZ)
@@ -165,6 +166,30 @@ def test_verify_certificate_uses_exactly_four_evaluations():
 
     assert verify_certificate(GHZ, Certificate(1, 0, 1), evaluate_fn=metered)
     assert calls == [0, 2, 1, 3]
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_block_test_and_factors_match_pointwise_oracle_on_wide_tables(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        global_minus, minus_mask = rng.randrange(2), rng.randrange(1 << n)
+        product = BooleanFunction(n, product_table(n, global_minus, minus_mask))
+        assert pointwise_certificate(product.table, n) is None
+        assert find_certificate(product) is None
+        decomposition = factorize(product)
+        assert decomposition.global_sign == (-1 if global_minus else 1)
+        assert decomposition.factors == tuple(
+            -1 if (minus_mask >> k) & 1 else 1 for k in range(n)
+        )
+        for point in (0, (1 << n) - 1, rng.randrange(1 << n)):
+            flipped = BooleanFunction(n, product.table ^ (1 << point))
+            expected = pointwise_certificate(flipped.table, n)
+            assert expected is not None
+            cert = find_certificate(flipped)
+            assert (cert.k, cert.l, cert.m) == expected
+            assert verify_certificate(flipped, cert)
+            with pytest.raises(NotProductError):
+                factorize(flipped)
 
 
 def test_certificates_exhaustive_n3():

@@ -137,7 +137,9 @@ def _cmd_separable(args: argparse.Namespace) -> int:
     cert = lme_state.find_certificate(f)
     osm = cert is None
     if osm:
-        decomposition = lme_state.factorize(f)
+        # find_certificate has just run the block test, so read the factors
+        # directly: factorize would run it a second time.
+        decomposition = lme_state._read_factors(f)
         dec_facts = {
             "global": "+" if decomposition.global_sign > 0 else "-",
             "factors": ["+" if eps > 0 else "-" for eps in decomposition.factors],

@@ -94,6 +94,11 @@ def factorize(state: BooleanFunction) -> FactorDecomposition:
     """
     if not is_osm(state):
         raise NotProductError("state is not a product of plus/minus factors")
+    return _read_factors(state)
+
+
+def _read_factors(state: BooleanFunction) -> FactorDecomposition:
+    """Global sign and factors of a state that has passed the block test."""
     # Bit 2**k is read by masking it alone, O(2**k), not by shifting the
     # whole table down to it.
     base = state.table & 1

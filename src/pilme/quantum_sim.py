@@ -10,7 +10,7 @@ all 0/1 or closed-form, so nothing is sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Literal
 
 import numpy as np
@@ -22,6 +22,7 @@ from .reductions import SatVerdict, TraceStep, witness_lookup
 # 2**21 float64 amplitudes (state plus ancilla) is 16 MiB.
 SIM_MAX_N = 20
 NORM_TOL = 1e-12
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class PromiseViolationError(ValueError):
@@ -32,16 +33,19 @@ class PromiseViolationError(ValueError):
 class StateVector:
     """Normalized real amplitude vector over 2**qubit_count basis states.
 
-    Instances are immutable; gate application returns a new vector.
+    Instances are immutable; gate application returns a new vector.  The
+    amplitudes are copied unless `_fresh` is set, which this module does
+    only for a float64 array it has just allocated and hands over.
     """
 
     qubit_count: int
     amplitudes: np.ndarray
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _fresh: bool) -> None:
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be at least 1")
-        amps = np.array(self.amplitudes, dtype=np.float64, copy=True)
+        amps = self.amplitudes if _fresh else np.array(self.amplitudes, dtype=np.float64, copy=True)
         if amps.shape != (1 << self.qubit_count,):
             raise ValueError("amplitude vector has the wrong length")
         if abs(float(amps @ amps) - 1.0) > NORM_TOL:
@@ -61,13 +65,56 @@ def _pack_bits(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def _hadamard_in_place(amps: np.ndarray, n: int, qubit: int) -> None:
+    """Hadamard on one qubit of a writable n-qubit float64 vector, in place.
+
+    Each pair (lo, hi) of amplitudes 2**qubit apart becomes
+    ((lo + hi) * 2**-0.5, (lo - hi) * 2**-0.5): one butterfly of the fast
+    Walsh-Hadamard transform, rounded exactly like the matrix gate.
+    """
+    cube = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
+    lo, hi = cube[:, 0, :], cube[:, 1, :]
+    total = lo + hi
+    np.subtract(lo, hi, out=hi)
+    hi *= _SQRT_HALF
+    np.multiply(total, _SQRT_HALF, out=lo)
+
+
+def _transpose(amps: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """amps viewed as a (rows, cols) matrix, transposed into a new flat
+    array 64 rows at a time, so each strip is read from cache."""
+    src = amps.reshape(rows, cols)
+    out = np.empty((cols, rows))
+    for start in range(0, rows, 64):
+        out[:, start : start + 64] = src[start : start + 64].T
+    return out.reshape(-1)
+
+
+def _hadamard_layer(amps: np.ndarray, n: int) -> np.ndarray:
+    """Hadamard on qubits 0, 1, ..., n-1 in turn; returns a new vector.
+
+    A butterfly on a low qubit works on runs of 2**qubit amplitudes, and
+    numpy's per-run overhead dominates short runs.  So the low half of the
+    qubits runs on the transposed vector, where they are the high bits.
+    Every butterfly still sees the same operands in the same order.
+    """
+    low = n // 2
+    moved = _transpose(amps, 1 << (n - low), 1 << low)
+    for qubit in range(low):
+        _hadamard_in_place(moved, n, n - low + qubit)
+    out = _transpose(moved, 1 << low, 1 << (n - low))
+    for qubit in range(low, n):
+        _hadamard_in_place(out, n, qubit)
+    return out
+
+
 def basis_state(qubit_count: int, index: int) -> StateVector:
     """Computational basis state |index>."""
     if not 0 <= index < (1 << qubit_count):
         raise ValueError("basis index out of range")
     amps = np.zeros(1 << qubit_count)
     amps[index] = 1.0
-    return StateVector(qubit_count, amps)
+    return StateVector(qubit_count, amps, _fresh=True)
 
 
 def apply_hadamard(sv: StateVector, qubit: int) -> StateVector:
@@ -75,12 +122,9 @@ def apply_hadamard(sv: StateVector, qubit: int) -> StateVector:
     n = sv.qubit_count
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
-    cube = sv.amplitudes.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    out = np.empty_like(cube)
-    out[:, 0, :] = cube[:, 0, :] + cube[:, 1, :]
-    out[:, 1, :] = cube[:, 0, :] - cube[:, 1, :]
-    out *= 1.0 / math.sqrt(2.0)
-    return StateVector(n, out.reshape(-1))
+    amps = sv.amplitudes.copy()
+    _hadamard_in_place(amps, n, qubit)
+    return StateVector(n, amps, _fresh=True)
 
 
 def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVector:
@@ -95,12 +139,20 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
         raise ValueError("state must have one more qubit than the function arity")
     if not 0 <= ancilla_index <= n:
         raise ValueError("ancilla index out of range")
-    dim = 1 << (n + 1)
-    idx = np.arange(dim, dtype=np.int64)
-    low = idx & ((1 << ancilla_index) - 1)
-    x = low | ((idx >> (ancilla_index + 1)) << ancilla_index)
-    flips = _bit_array(f.table, 1 << n)[x].astype(np.int64)
-    return StateVector(n + 1, sv.amplitudes[idx ^ (flips << ancilla_index)])
+    # Index (high, y, low), with low below the ancilla, holds |x = high * 2**a
+    # + low>|y>, so f's table in the shape (high, low) lines up with both
+    # halves.  The halves swap wherever f(x) is 1: XOR each with the masked
+    # XOR of the two, on the raw float64 bits, so no branch and no rounding.
+    shape = (1 << (n - ancilla_index), 2, 1 << ancilla_index)
+    flips = _bit_array(f.table, 1 << n).reshape(shape[0], shape[2])
+    before = sv.amplitudes.view(np.uint64).reshape(shape)
+    swap = before[:, 0, :] ^ before[:, 1, :]
+    swap *= flips
+    amps = np.empty(1 << (n + 1))
+    after = amps.view(np.uint64).reshape(shape)
+    np.bitwise_xor(before[:, 0, :], swap, out=after[:, 0, :])
+    np.bitwise_xor(before[:, 1, :], swap, out=after[:, 1, :])
+    return StateVector(n + 1, amps, _fresh=True)
 
 
 def prepare_psi_f(f: BooleanFunction, max_n: int = SIM_MAX_N) -> StateVector:
@@ -114,13 +166,15 @@ def prepare_psi_f(f: BooleanFunction, max_n: int = SIM_MAX_N) -> StateVector:
     if n > max_n:
         raise ValueError(f"arity {n} exceeds the simulator cap {max_n}")
     dim = 1 << (n + 1)
-    amps = np.where((np.arange(dim) >> n) & 1, -1.0, 1.0) / math.sqrt(dim)
-    after = apply_uf(StateVector(n + 1, amps), f, n)
+    amps = np.empty(dim)
+    amps[: dim // 2] = 1.0 / math.sqrt(dim)
+    amps[dim // 2 :] = -1.0 / math.sqrt(dim)
+    after = apply_uf(StateVector(n + 1, amps, _fresh=True), f, n)
     lower = after.amplitudes[: dim // 2]
     upper = after.amplitudes[dim // 2 :]
     if not np.array_equal(upper, -lower):
         raise RuntimeError("ancilla failed to decouple")
-    return StateVector(n, lower * math.sqrt(2.0))
+    return StateVector(n, lower * math.sqrt(2.0), _fresh=True)
 
 
 def signs_from_state(sv: StateVector) -> BooleanFunction:
@@ -135,9 +189,8 @@ def zero_outcome_probability(f: BooleanFunction, max_n: int = SIM_MAX_N) -> floa
     """Probability of the all-zeros outcome after a full Hadamard layer on
     the sign state of f; equals ((sum of signs) / 2**n) squared."""
     sv = prepare_psi_f(f, max_n=max_n)
-    for qubit in range(sv.qubit_count):
-        sv = apply_hadamard(sv, qubit)
-    return float(sv.amplitudes[0] ** 2)
+    out = StateVector(sv.qubit_count, _hadamard_layer(sv.amplitudes, sv.qubit_count), _fresh=True)
+    return float(out.amplitudes[0] ** 2)
 
 
 def deutsch_jozsa(f: BooleanFunction, max_n: int = SIM_MAX_N) -> Literal["constant", "balanced"]:

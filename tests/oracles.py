@@ -1,7 +1,11 @@
 """Brute-force reference implementations, kept deliberately independent of
-the library's packed-int tricks: plain per-index loops only."""
+the library's packed-int tricks and array kernels: plain per-index loops,
+and for the Hadamard gate its full dense matrix."""
 
 import itertools
+import math
+
+import numpy as np
 
 from pilme.boolfn import And, Const, Iff, Implies, Not, Or, Var, Xor
 
@@ -107,3 +111,24 @@ def pointwise_certificate(table: int, n: int):
             if bits[m] ^ bits[width + m] != d0:
                 return (k, 0, m)
     return None
+
+
+def permuted_oracle(amps, table: int, n: int, ancilla: int):
+    """|x>|y> -> |x>|y xor f(x)> as an index permutation: entry i reads x
+    from the bits of i other than the ancilla, in increasing position
+    order, and takes the amplitude at i with the ancilla bit XORed by f(x)."""
+    out = np.empty(len(amps))
+    for i in range(len(amps)):
+        low = i & ((1 << ancilla) - 1)
+        x = low | ((i >> (ancilla + 1)) << ancilla)
+        out[i] = amps[i ^ (((table >> x) & 1) << ancilla)]
+    return out
+
+
+def kron_hadamard(amps, n: int, qubit: int):
+    """Hadamard on one qubit as the full matrix I (x) [[1, 1], [1, -1]] (x) I
+    times the vector, scaled by 2**-0.5.  Every row holds two entries +-1
+    and zeros, so the product is exactly lo + hi or lo - hi."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    gate = np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), h), np.eye(1 << qubit))
+    return (gate @ amps) * (1.0 / math.sqrt(2.0))

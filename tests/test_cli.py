@@ -63,7 +63,14 @@ def test_separable_certificate(capsys):
     }
 
 
-def test_separable_decomposition(capsys):
+def test_separable_decomposition(capsys, monkeypatch):
+    from pilme import lme_state
+
+    block_tests = []
+    find_certificate = lme_state.find_certificate
+    monkeypatch.setattr(
+        lme_state, "find_certificate", lambda state: block_tests.append(state) or find_certificate(state)
+    )
     payload = run_json(capsys, ["separable", "x1 ^ x2", "--json"])
     validate("separable", payload)
     assert payload == {
@@ -72,6 +79,7 @@ def test_separable_decomposition(capsys):
         "decomposition": {"global": "+", "factors": ["-", "-"]},
         "certificate": None,
     }
+    assert len(block_tests) == 1
 
 
 def test_anf(capsys):

@@ -29,6 +29,13 @@ DENSE10 = b"".join(_blocks).hex()
 DIMACS_CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 HEX10 = ["--format", "table-hex", DENSE10, "--n", "10"]
 D1 = ["--format", "table-hex", "d1", "--n", "3"]
+# p0 is printed to 17 digits, so these pin the simulator's float arithmetic:
+# constant 1, and balanced but not affine (the lower half of DENSE10, then
+# its complement; the ANF has degree 8).
+_low10 = bytes.fromhex(DENSE10[:128])
+ONES10 = ["--format", "table-hex", "ff" * 128, "--n", "10"]
+BALANCED10 = ["--format", "table-hex", (_low10 + bytes(b ^ 0xFF for b in _low10)).hex(), "--n", "10"]
+ZEROS12 = ["--format", "table-hex", "00" * 512, "--n", "12"]
 
 # (argv, stdin)
 CASES = [
@@ -97,6 +104,10 @@ CASES = [
     (["anf", "--format", "anf", "c 0\n0 30\n"], None),
     (["hypergraph", "--format", "anf", "c 0\n1 1000000000000\n", "--json"], None),
     (["sat-quantum", "x21"], None),
+    # simulator arithmetic: p0 printed to 17 digits
+    (["dj", *ONES10, "--json"], None),
+    (["dj", *BALANCED10, "--json"], None),
+    (["sat-quantum", *ZEROS12, "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -163,6 +174,9 @@ EXPECTED = [
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 31 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 1000000000001 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 21 exceeds the simulator cap 20\n'),
+    (0, '874ee867e5302f667c365eb8746f647eb1e02c4141b73346a44fc56593d99e0a', ''),
+    (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
+    (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
 ]
 
 

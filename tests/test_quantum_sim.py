@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from pilme.boolfn import (
 from pilme.lme_state import state_from_function
 from pilme.quantum_sim import (
     NORM_TOL,
+    SIM_MAX_N,
     PromiseViolationError,
     StateVector,
+    _hadamard_layer,
     algorithm1_end_to_end,
     apply_hadamard,
     apply_uf,
@@ -31,6 +35,8 @@ from pilme.quantum_sim import (
     unique_sat_pair,
     zero_outcome_probability,
 )
+
+from oracles import kron_hadamard, permuted_oracle
 
 
 def _fn(text, arity):
@@ -110,6 +116,52 @@ def test_apply_uf_dimension_checks():
         apply_uf(basis_state(2, 0), AND2, 2)
     with pytest.raises(ValueError):
         apply_uf(basis_state(3, 0), AND2, 4)
+
+
+# ---------------------------------------------------------------------------
+# gate kernels against the reference matrices, bit for bit
+
+
+def _random_state(rng, qubit_count):
+    raw = rng.standard_normal(1 << qubit_count)
+    return StateVector(qubit_count, raw / np.linalg.norm(raw))
+
+
+def test_apply_uf_matches_the_index_permutation_at_every_ancilla_position():
+    rng = np.random.default_rng(61)
+    tables = random.Random(61)
+    for n in range(1, 7):
+        f = BooleanFunction(n, tables.getrandbits(1 << n))
+        for ancilla in range(n + 1):
+            sv = _random_state(rng, n + 1)
+            expected = permuted_oracle(sv.amplitudes, f.table, n, ancilla)
+            assert np.array_equal(apply_uf(sv, f, ancilla).amplitudes, expected)
+
+
+def test_apply_hadamard_matches_the_kron_matrix_on_every_qubit():
+    rng = np.random.default_rng(62)
+    for n in range(1, 7):
+        for qubit in range(n):
+            sv = _random_state(rng, n)
+            expected = kron_hadamard(sv.amplitudes, n, qubit)
+            assert np.array_equal(apply_hadamard(sv, qubit).amplitudes, expected)
+
+
+def test_hadamard_layer_matches_one_gate_at_a_time():
+    rng = np.random.default_rng(63)
+    for n in range(1, 7):
+        sv = _random_state(rng, n)
+        expected = sv.amplitudes
+        for qubit in range(n):
+            expected = kron_hadamard(expected, n, qubit)
+        assert np.array_equal(_hadamard_layer(sv.amplitudes, n), expected)
+    # wider vectors transpose in several 64-row strips, at odd and even n
+    for n in (13, 14, 15):
+        sv = _random_state(rng, n)
+        expected = sv
+        for qubit in range(n):
+            expected = apply_hadamard(expected, qubit)
+        assert np.array_equal(_hadamard_layer(sv.amplitudes, n), expected.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +270,41 @@ def test_dj_probability_matches_closed_form(f):
     weight = classify(f).satisfying_count
     expected = (1.0 - 2.0 * weight / f.size) ** 2
     assert zero_outcome_probability(f) == pytest.approx(expected, abs=1e-12)
+
+
+def _cap_table(family):
+    n = SIM_MAX_N
+    half = random.Random(20).getrandbits(1 << (n - 1))
+    return {
+        "constant": (1 << (1 << n)) - 1,
+        # upper half the complement of a random lower half: balanced, not affine
+        "balanced": half | ((half ^ ((1 << (1 << (n - 1))) - 1)) << (1 << (n - 1))),
+        "random": random.Random(21).getrandbits(1 << n),
+    }[family]
+
+
+def test_prepared_signs_round_trip_at_the_cap():
+    f = BooleanFunction(SIM_MAX_N, _cap_table("random"))
+    assert signs_from_state(prepare_psi_f(f)) == f
+
+
+@pytest.mark.parametrize("family", ["constant", "balanced", "random"])
+def test_zero_outcome_probability_matches_closed_form_at_the_cap(family):
+    f = BooleanFunction(SIM_MAX_N, _cap_table(family))
+    expected = ((f.size - 2 * f.table.bit_count()) / f.size) ** 2
+    assert abs(zero_outcome_probability(f) - expected) <= 2.0**-40
+
+
+def test_zero_outcome_probability_peak_memory_stays_near_the_state_size():
+    f = BooleanFunction(SIM_MAX_N, _cap_table("balanced"))
+    ancilla_state_bytes = 8 << (SIM_MAX_N + 1)
+    tracemalloc.start()
+    try:
+        zero_outcome_probability(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * ancilla_state_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .hypergraph import (
     hypergraph_of,
     parse_anf_text,
     render_anf_text,
-    state_from_hypergraph,
 )
 from .lme_state import (
     Certificate,

@@ -4,7 +4,9 @@ A function f on n inputs is stored as a single integer whose bit i is
 f(i); bit k of the index i is the value of variable x_{k+1}, so variable
 indices in formula syntax are 1-based while bit positions are 0-based.
 Packing the whole table into one int keeps classification a popcount and
-turns the subset-lattice transform into a handful of wide XORs.
+turns the subset-lattice transform into a handful of wide XORs.  Formulas
+parse into flat postfix programs, which `compile` runs over packed
+tables, one bit operation per instruction.
 
 Everything here is an immutable value and every operation is a pure
 function, so tables can be shared freely across threads.
@@ -12,10 +14,11 @@ function, so tables can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional, Union
+from typing import Iterable, Literal, Optional
 
 # Default cap on arity for table-building operations and the command
 # line's ceiling; a table at n = 24 occupies 2 MiB.  Library callers may
@@ -137,185 +140,97 @@ def pack_bits(positions: Iterable[int], size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Formula AST
+# Formulas as flat postfix programs
 
+Program = tuple[tuple[str, int], ...]
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based: x1 is assignment bit 0
+# A token, or any other non-space character, which is an error.
+_TOKEN_RE = re.compile(r"(x\d+|<->|->|[01()!&^|])|(\S)")
 
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: "FormulaAST"
-
-
-@dataclass(frozen=True)
-class And:
-    args: tuple["FormulaAST", ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    args: tuple["FormulaAST", ...]
-
-
-@dataclass(frozen=True)
-class Xor:
-    args: tuple["FormulaAST", ...]
-
-
-@dataclass(frozen=True)
-class Implies:
-    antecedent: "FormulaAST"
-    consequent: "FormulaAST"
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "FormulaAST"
-    right: "FormulaAST"
-
-
-FormulaAST = Union[Var, Const, Not, And, Or, Xor, Implies, Iff]
-
-_TOKEN_RE = re.compile(r"x\d+|<->|->|[01()!&^|]")
+# Binding strength of the binary operators, loosest first.  An entry on
+# the parser's pending stack is [strength, op, argc]; "!" binds tighter
+# and "(" looser than every binary operator, and the bottom entry looser
+# still, so one comparison decides what an incoming token closes.
+_BINDING = {"<->": 1, "->": 2, "|": 3, "^": 4, "&": 5}
+_NOT, _OPEN, _BOTTOM = 6, 0, -1
+# The n-ary operators, with the bit operation that folds two operands.
+_FOLD = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((match.group(0), pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        token, stray = match.groups()
+        if stray:
+            raise ParseError(f"unexpected character {stray!r}", match.start())
+        tokens.append((token, match.start()))
     return tokens
 
 
-class _FormulaParser:
-    # Recursive descent, loosest binding first: <->  ->  |  ^  &  !
-    # All operators associate left except ->, which associates right.
+def parse_formula(text: str, arity: int) -> Program:
+    """Parse the infix formula DSL over variables x1..x<arity> into a flat
+    postfix program: a tuple of (op, arg) instructions run on a value
+    stack.  ("var", k) pushes x_{k+1} (k is the 0-based bit position),
+    ("const", v) pushes 0 or 1, ("!", 1) negates the top value, a run of
+    one of ``& ^ |`` becomes one ("&" | "^" | "|", m) over its m operands,
+    and ("->", 2) / ("<->", 2) combine the top two values.
 
-    def __init__(self, text: str, arity: int):
-        self.text = text
-        self.arity = arity
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _peek(self) -> Optional[str]:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def _take(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self) -> FormulaAST:
-        node = self._iff()
-        if self.pos < len(self.tokens):
-            token, at = self.tokens[self.pos]
-            raise ParseError(f"unexpected token {token!r}", at)
-        return node
-
-    def _iff(self) -> FormulaAST:
-        node = self._implies()
-        while self._peek() == "<->":
-            self._take()
-            node = Iff(node, self._implies())
-        return node
-
-    def _implies(self) -> FormulaAST:
-        node = self._or()
-        if self._peek() == "->":
-            self._take()
-            return Implies(node, self._implies())
-        return node
-
-    def _or(self) -> FormulaAST:
-        parts = [self._xor()]
-        while self._peek() == "|":
-            self._take()
-            parts.append(self._xor())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def _xor(self) -> FormulaAST:
-        parts = [self._and()]
-        while self._peek() == "^":
-            self._take()
-            parts.append(self._and())
-        return parts[0] if len(parts) == 1 else Xor(tuple(parts))
-
-    def _and(self) -> FormulaAST:
-        parts = [self._not()]
-        while self._peek() == "&":
-            self._take()
-            parts.append(self._not())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def _not(self) -> FormulaAST:
-        if self._peek() == "!":
-            self._take()
-            return Not(self._not())
-        return self._atom()
-
-    def _atom(self) -> FormulaAST:
-        token, at = self._take()
-        if token == "(":
-            node = self._iff()
-            if self._peek() != ")":
-                where = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
-                raise ParseError("expected ')'", where)
-            self._take()
-            return node
-        if token in ("0", "1"):
-            return Const(int(token))
-        if token.startswith("x"):
-            index = int(token[1:])
-            if not 1 <= index <= self.arity:
-                raise ParseError(f"variable {token} out of range for arity {self.arity}", at)
-            return Var(index)
-        raise ParseError(f"unexpected token {token!r}", at)
-
-
-def parse_formula(text: str, arity: int) -> FormulaAST:
-    """Parse the infix formula DSL over variables x1..x<arity>.
-
-    Operators, tightest binding first: ``!  &  ^  |  ->  <->``; constants
-    ``0`` and ``1``; parentheses group.  Raises ParseError with a character
+    Operators, tightest binding first: ``!  &  ^  |  ->  <->``; ``->``
+    associates right, the others left.  Constants ``0`` and ``1``;
+    parentheses group, to any depth.  Raises ParseError with a character
     position on syntax errors and on out-of-range variables.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
-    return _FormulaParser(text, arity).parse()
+    program: list[tuple[str, int]] = []
+    pending: list[list] = [[_BOTTOM, None, 0]]
+    want_operand = True
+    for token, at in _tokenize(text):
+        if want_operand:
+            if token == "!":
+                pending.append([_NOT, "!", 1])
+            elif token == "(":
+                pending.append([_OPEN, "(", 0])
+            elif token in ("0", "1"):
+                program.append(("const", int(token)))
+                want_operand = False
+            elif token[0] == "x":
+                if not 1 <= int(token[1:]) <= arity:
+                    raise ParseError(f"variable {token} out of range for arity {arity}", at)
+                program.append(("var", int(token[1:]) - 1))
+                want_operand = False
+            else:
+                raise ParseError(f"unexpected token {token!r}", at)
+            continue
+        # An operand is complete: close every pending operator that binds
+        # tighter than this token (all of them down to the innermost "("
+        # for anything but a binary operator), and "<->" to its own left.
+        binding = _BINDING.get(token, _OPEN)
+        while pending[-1][0] > binding or pending[-1][1] == token == "<->":
+            program.append(tuple(pending.pop()[1:]))
+        top = pending[-1]
+        if token in _BINDING:
+            if token in _FOLD and top[1] == token:
+                top[2] += 1
+            else:
+                pending.append([binding, token, 2])
+            want_operand = True
+        elif token == ")" and top[1] == "(":
+            pending.pop()
+        else:
+            raise ParseError("expected ')'" if top[1] == "(" else f"unexpected token {token!r}", at)
+    if want_operand:
+        raise ParseError("unexpected end of input", len(text))
+    while pending[-1][0] > _OPEN:
+        program.append(tuple(pending.pop()[1:]))
+    if pending[-1][1] == "(":
+        raise ParseError("expected ')'", len(text))
+    return tuple(program)
 
 
-def max_variable(ast: FormulaAST) -> int:
-    """Largest 1-based variable index in the tree, 0 when there is none."""
-    if isinstance(ast, Var):
-        return ast.index
-    if isinstance(ast, Const):
-        return 0
-    if isinstance(ast, Not):
-        return max_variable(ast.arg)
-    if isinstance(ast, (And, Or, Xor)):
-        return max((max_variable(a) for a in ast.args), default=0)
-    if isinstance(ast, Implies):
-        return max(max_variable(ast.antecedent), max_variable(ast.consequent))
-    if isinstance(ast, Iff):
-        return max(max_variable(ast.left), max_variable(ast.right))
-    raise TypeError(f"not a formula node: {ast!r}")
+def max_variable(program: Program) -> int:
+    """Largest 1-based variable index in the program, 0 when there is none."""
+    return max((arg + 1 for op, arg in program if op == "var"), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +292,29 @@ def parse_dimacs_clauses(text: str) -> tuple[int, list[list[int]]]:
     return var_count, clauses
 
 
-def clauses_to_ast(clauses: list[list[int]]) -> FormulaAST:
-    """Conjunction-of-disjunctions AST; an empty clause is constant false,
-    an empty clause list is constant true."""
-
-    def clause_ast(clause: list[int]) -> FormulaAST:
-        if not clause:
-            return Const(0)
-        literals: list[FormulaAST] = [
-            Var(lit) if lit > 0 else Not(Var(-lit)) for lit in clause
-        ]
-        return literals[0] if len(literals) == 1 else Or(tuple(literals))
-
+def clauses_to_ast(clauses: list[list[int]]) -> Program:
+    """Postfix program of the conjunction of the clauses; an empty clause
+    is constant false, an empty clause list is constant true."""
     if not clauses:
-        return Const(1)
-    parts = [clause_ast(c) for c in clauses]
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return (("const", 1),)
+    program: list[tuple[str, int]] = []
+    for clause in clauses:
+        for literal in clause:
+            program.append(("var", abs(literal) - 1))
+            if literal < 0:
+                program.append(("!", 1))
+        if not clause:
+            program.append(("const", 0))
+        elif len(clause) > 1:
+            program.append(("|", len(clause)))
+    if len(clauses) > 1:
+        program.append(("&", len(clauses)))
+    return tuple(program)
 
 
-def parse_dimacs(text: str) -> FormulaAST:
-    """Parse DIMACS CNF into a formula AST (arity is the declared count,
-    recoverable via parse_dimacs_clauses)."""
+def parse_dimacs(text: str) -> Program:
+    """Parse DIMACS CNF into a postfix program (arity is the declared
+    count, recoverable via parse_dimacs_clauses)."""
     _, clauses = parse_dimacs_clauses(text)
     return clauses_to_ast(clauses)
 
@@ -436,74 +353,88 @@ def variable_table(k: int, n: int) -> int:
 
 
 # Variables per block of the blocked evaluator.  A block of 2**18 entries
-# is a 32 KiB int, so a node's operands and result stay in the per-core
-# cache while the AST is walked over it; a whole table at n = 24 is 2 MiB
-# and does not.  Smaller blocks multiply the per-node interpreter cost by
-# the block count for no further cache gain.
+# is a 32 KiB int, so an instruction's operands and result stay in the
+# per-core cache while the program runs over it; a whole table at n = 24
+# is 2 MiB and does not.  Smaller blocks multiply the per-instruction
+# interpreter cost by the block count for no further cache gain.
 _BLOCK_BITS = 18
 
 
-def _packed_eval(ast: FormulaAST, n: int) -> int:
+def _binary_steps(program: Program) -> list[tuple[str, int]]:
+    # Rewrite each (op, m) fold as m - 1 binary steps, each right after the
+    # operand it takes in, so a block's value stack holds one running value
+    # per open fold rather than all m operands: a CNF keeps a few 32 KiB
+    # values live instead of one per clause, and they stay in the cache.
+    ends: list[int] = []  # index of the instruction completing each stacked value
+    fold_after: dict[int, str] = {}
+    for j, (op, arg) in enumerate(program):
+        taken = 0 if op in ("var", "const") else arg
+        if op in _FOLD:
+            fold_after.update(dict.fromkeys(ends[len(ends) - taken + 1 :], op))
+        del ends[len(ends) - taken :]
+        ends.append(j)
+    steps = []
+    for j, step in enumerate(program):
+        if step[0] not in _FOLD:
+            steps.append(step)
+        if j in fold_after:
+            steps.append((fold_after[j], 2))
+    return steps
+
+
+def _packed_eval(program: Program, n: int) -> int:
+    for op, arg in program:
+        if op == "var" and not 0 <= arg < n:
+            raise ValueError(f"variable x{arg + 1} out of range for arity {n}")
     # The low `low` variables vary inside a block and are read off shared
     # projection tables; every higher variable is constant across a block,
     # all ones or 0 by the block number's bits.
     low = min(n, _BLOCK_BITS)
     ones = (1 << (1 << low)) - 1
     projections = [variable_table(k, low) for k in range(low)]
+    steps = _binary_steps(program)
 
-    def block(node: FormulaAST, number: int) -> int:
-        if isinstance(node, Var):
-            if not 1 <= node.index <= n:
-                raise ValueError(f"variable x{node.index} out of range for arity {n}")
-            k = node.index - 1
-            if k < low:
-                return projections[k]
-            return ones if (number >> (k - low)) & 1 else 0
-        if isinstance(node, Const):
-            return ones if node.value else 0
-        if isinstance(node, Not):
-            return ones ^ block(node.arg, number)
-        if isinstance(node, And):
-            out = ones
-            for arg in node.args:
-                out &= block(arg, number)
-            return out
-        if isinstance(node, Or):
-            out = 0
-            for arg in node.args:
-                out |= block(arg, number)
-            return out
-        if isinstance(node, Xor):
-            out = 0
-            for arg in node.args:
-                out ^= block(arg, number)
-            return out
-        if isinstance(node, Implies):
-            return (ones ^ block(node.antecedent, number)) | block(node.consequent, number)
-        if isinstance(node, Iff):
-            return ones ^ block(node.left, number) ^ block(node.right, number)
-        raise TypeError(f"not a formula node: {node!r}")
+    def block(number: int) -> int:
+        variables = projections + [ones if (number >> j) & 1 else 0 for j in range(n - low)]
+        stack: list[int] = []
+        for op, arg in steps:
+            if op == "var":
+                stack.append(variables[arg])
+            elif op == "const":
+                stack.append(ones if arg else 0)
+            elif op == "!":
+                stack[-1] ^= ones
+            else:
+                right = stack.pop()
+                if op == "->":
+                    stack[-1] = (ones ^ stack[-1]) | right
+                elif op == "<->":
+                    stack[-1] ^= ones ^ right
+                else:
+                    stack[-1] = _FOLD[op](stack[-1], right)
+        return stack[-1]
 
     nbytes = ((1 << low) + 7) // 8
     return int.from_bytes(
-        b"".join(block(ast, number).to_bytes(nbytes, "little") for number in range(1 << (n - low))),
+        b"".join(block(number).to_bytes(nbytes, "little") for number in range(1 << (n - low))),
         "little",
     )
 
 
-def compile(ast: FormulaAST, arity: int, max_n: int = MAX_N) -> BooleanFunction:
-    """Materialize the truth table of ast over the given arity.
+def compile(program: Program, arity: int, max_n: int = MAX_N) -> BooleanFunction:
+    """Materialize the truth table of a postfix program over the given arity.
 
-    The AST is evaluated over packed tables, one bit operation per node,
-    not per assignment.  Above 2**18 entries the table is built one
-    2**18-entry block at a time: the low 18 variables vary inside a block
-    and the higher ones are constants, so every operand stays small enough
-    for the cache and the peak memory stays near the table's own size.
+    The program runs over packed tables, one bit operation per
+    instruction, not per assignment.  Above 2**18 entries the table is
+    built one 2**18-entry block at a time: the low 18 variables vary
+    inside a block and the higher ones are constants, so every operand
+    stays small enough for the cache and the peak memory stays near the
+    table's own size.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
     check_arity(arity, max_n)
-    return BooleanFunction(arity, _packed_eval(ast, arity))
+    return BooleanFunction(arity, _packed_eval(program, arity))
 
 
 def evaluate(f: BooleanFunction, assignment: int) -> int:

@@ -71,12 +71,9 @@ def load_function(cfg: RunConfig) -> BooleanFunction:
     """Parse the configured input into a truth table."""
     text = _read_source(cfg.source)
     if cfg.fmt == "formula":
-        try:
-            ast = boolfn.parse_formula(text, cfg.arity or cfg.max_n)
-            arity = cfg.arity or max(1, boolfn.max_variable(ast))
-            return boolfn.compile(ast, arity, max_n=cfg.max_n)
-        except RecursionError:
-            raise ParseError("formula nested too deeply") from None
+        program = boolfn.parse_formula(text, cfg.arity or cfg.max_n)
+        arity = cfg.arity or max(1, boolfn.max_variable(program))
+        return boolfn.compile(program, arity, max_n=cfg.max_n)
     if cfg.fmt == "dimacs":
         var_count, clauses = boolfn.parse_dimacs_clauses(text)
         if cfg.arity is not None and cfg.arity != var_count:
@@ -87,7 +84,7 @@ def load_function(cfg: RunConfig) -> BooleanFunction:
     if cfg.fmt == "table-hex":
         assert cfg.arity is not None
         return boolfn.from_table_hex(text, cfg.arity)
-    graph = hypergraph.parse_anf_text(text, cfg.arity)
+    graph = hypergraph.parse_anf_text(text, cfg.arity, max_n=cfg.max_n)
     return boolfn.from_anf(graph, max_n=cfg.max_n)
 
 

@@ -18,26 +18,17 @@ from .boolfn import (
     ParseError,
     anf,
     check_arity,
-    from_anf,
     pack_bits,
 )
 
 __all__ = [
     "Hypergraph",
-    "state_from_hypergraph",
     "entangling_edge_exists",
     "hypergraph_of",
     "render_anf_text",
     "parse_anf_text",
     "hypergraph_to_json",
 ]
-
-
-def state_from_hypergraph(h: Hypergraph, max_n: int = MAX_N) -> BooleanFunction:
-    """Sign state generated by one controlled phase flip per edge acting on
-    the all-plus state; the sign of |i> is the constant bit XORed with the
-    parity of edges fully contained in the set bits of i."""
-    return from_anf(h, max_n=max_n)
 
 
 def entangling_edge_exists(h: Hypergraph) -> bool:
@@ -71,12 +62,15 @@ def render_anf_text(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_anf_text(text: str, vertex_count: Optional[int] = None) -> Hypergraph:
+def parse_anf_text(
+    text: str, vertex_count: Optional[int] = None, max_n: int = MAX_N
+) -> Hypergraph:
     """Parse the text format back into a hypergraph.
 
     The format does not carry the vertex count; it is inferred as one past
     the largest mentioned vertex unless given explicitly (required for
-    edge-free input).
+    edge-free input).  A vertex count above `max_n` is refused before the
+    coefficients are packed.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -107,7 +101,7 @@ def parse_anf_text(text: str, vertex_count: Optional[int] = None) -> Hypergraph:
         raise ParseError(
             f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}"
         )
-    check_arity(vertex_count)
+    check_arity(vertex_count, max_n)
     masks = [sum(1 << v for v in edge) for edge in edges]
     return Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
 

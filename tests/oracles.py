@@ -7,8 +7,6 @@ import math
 
 import numpy as np
 
-from pilme.boolfn import And, Const, Iff, Implies, Not, Or, Var, Xor
-
 
 def brute_anf_coefficients(table: int, n: int) -> int:
     """XOR-polynomial coefficients by direct subset sums: bit S of the
@@ -65,29 +63,83 @@ def pointwise_satisfying_count(table: int, n: int) -> int:
     return sum((table >> i) & 1 for i in range(1 << n))
 
 
-def evaluate_ast(node, point: int) -> int:
-    """Value of a formula AST at one assignment (bit k of `point` is
+# Formula trees: nested tuples ("var", k) with k the 0-based bit position,
+# ("const", v), ("!", child), ("&" | "|" | "^", child, child, ...) and
+# ("->" | "<->", left, right).  They are the test-side reference for the
+# library's flat postfix programs.
+
+_TREE_BINDING = {"<->": 1, "->": 2, "|": 3, "^": 4, "&": 5, "!": 6, "var": 7, "const": 7}
+
+
+def tree_value(tree, point: int) -> int:
+    """Value of a formula tree at one assignment (bit k of `point` is
     x_{k+1}), by walking the tree for that single point."""
-    if isinstance(node, Var):
-        return (point >> (node.index - 1)) & 1
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Not):
-        return 1 - evaluate_ast(node.arg, point)
-    if isinstance(node, And):
-        return int(all(evaluate_ast(arg, point) for arg in node.args))
-    if isinstance(node, Or):
-        return int(any(evaluate_ast(arg, point) for arg in node.args))
-    if isinstance(node, Xor):
-        acc = 0
-        for arg in node.args:
-            acc ^= evaluate_ast(arg, point)
-        return acc
-    if isinstance(node, Implies):
-        return int(not evaluate_ast(node.antecedent, point) or evaluate_ast(node.consequent, point))
-    if isinstance(node, Iff):
-        return int(evaluate_ast(node.left, point) == evaluate_ast(node.right, point))
-    raise TypeError(f"not a formula node: {node!r}")
+    op, *args = tree
+    if op == "var":
+        return (point >> args[0]) & 1
+    if op == "const":
+        return args[0]
+    values = [tree_value(arg, point) for arg in args]
+    if op == "!":
+        return 1 - values[0]
+    if op == "&":
+        return int(all(values))
+    if op == "|":
+        return int(any(values))
+    if op == "^":
+        return sum(values) & 1
+    if op == "->":
+        return int(not values[0] or values[1])
+    if op == "<->":
+        return int(values[0] == values[1])
+    raise ValueError(f"not a formula tree: {tree!r}")
+
+
+def render_tree(tree) -> str:
+    """Formula text with only the parentheses the grammar needs to read the
+    tree back unchanged: around a looser child, a same-operator child of
+    an n-ary operator (which would otherwise merge into its chain), the
+    left child of the right-associative ->, and the right child of the
+    left-associative <->."""
+    op, *args = tree
+    if op == "var":
+        return f"x{args[0] + 1}"
+    if op == "const":
+        return str(args[0])
+    # The loosest binding each child may have and still go without parentheses.
+    binding = _TREE_BINDING[op]
+    needs = {"!": [binding], "->": [binding + 1, binding], "<->": [binding, binding + 1]}
+    parts = [
+        render_tree(arg) if _TREE_BINDING[arg[0]] >= need else f"({render_tree(arg)})"
+        for arg, need in zip(args, needs.get(op, [binding + 1] * len(args)))
+    ]
+    return "!" + parts[0] if op == "!" else f" {op} ".join(parts)
+
+
+def tree_program(tree) -> tuple:
+    """The postfix program of a formula tree, children first."""
+    op, *args = tree
+    if op in ("var", "const"):
+        return (tree,)
+    code = tuple(step for arg in args for step in tree_program(arg))
+    return code + ((op, len(args)),)
+
+
+def cnf_tree(clauses):
+    """Formula tree of a clause list, shaped as DIMACS input parses: a
+    single clause or literal stands alone, an empty clause is 0 and an
+    empty list is 1."""
+    def literal(lit):
+        return ("var", lit - 1) if lit > 0 else ("!", ("var", -lit - 1))
+
+    def clause(c):
+        if not c:
+            return ("const", 0)
+        return literal(c[0]) if len(c) == 1 else ("|", *map(literal, c))
+
+    if not clauses:
+        return ("const", 1)
+    return clause(clauses[0]) if len(clauses) == 1 else ("&", *map(clause, clauses))
 
 
 def product_table(n: int, global_minus: int, minus_mask: int) -> int:

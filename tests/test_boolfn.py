@@ -7,17 +7,9 @@ from hypothesis import strategies as st
 
 from pilme.boolfn import (
     _BLOCK_BITS,
-    And,
     BooleanFunction,
-    Const,
     Hypergraph,
-    Iff,
-    Implies,
-    Not,
-    Or,
     ParseError,
-    Var,
-    Xor,
     anf,
     classify,
     clauses_to_ast,
@@ -37,9 +29,12 @@ from pilme.boolfn import (
 
 from oracles import (
     brute_anf_coefficients,
+    cnf_tree,
     coeff_from_edges,
-    evaluate_ast,
     pointwise_satisfying_count,
+    render_tree,
+    tree_program,
+    tree_value,
 )
 
 
@@ -55,11 +50,16 @@ def boolean_functions(draw, min_n=1, max_n=6):
 
 
 def test_parse_and():
-    assert parse_formula("x1 & x2", 2) == And((Var(1), Var(2)))
+    assert parse_formula("x1 & x2", 2) == (("var", 0), ("var", 1), ("&", 2))
 
 
 def test_parse_mixed_precedence():
-    assert parse_formula("!x1 ^ (x2 | 1)", 2) == Xor((Not(Var(1)), Or((Var(2), Const(1)))))
+    assert parse_formula("!x1 ^ (x2 | 1)", 2) == (
+        ("var", 0), ("!", 1), ("var", 1), ("const", 1), ("|", 2), ("^", 2),
+    )
+    assert parse_formula("x1 | x2 ^ x3 & x4", 4) == (
+        ("var", 0), ("var", 1), ("var", 2), ("var", 3), ("&", 2), ("^", 2), ("|", 2),
+    )
 
 
 def test_parse_variable_out_of_range():
@@ -68,17 +68,28 @@ def test_parse_variable_out_of_range():
 
 
 def test_parse_precedence_or_binds_looser_than_and():
-    assert parse_formula("x1 | x2 & x3", 3) == Or((Var(1), And((Var(2), Var(3)))))
+    assert parse_formula("x1 | x2 & x3", 3) == (
+        ("var", 0), ("var", 1), ("var", 2), ("&", 2), ("|", 2),
+    )
 
 
 def test_parse_implies_right_associative():
-    ast = parse_formula("x1 -> x2 -> x3", 3)
-    assert ast == Implies(Var(1), Implies(Var(2), Var(3)))
+    program = parse_formula("x1 -> x2 -> x3", 3)
+    assert program == (("var", 0), ("var", 1), ("var", 2), ("->", 2), ("->", 2))
 
 
 def test_parse_iff_left_associative():
-    ast = parse_formula("x1 <-> x2 <-> x3", 3)
-    assert ast == Iff(Iff(Var(1), Var(2)), Var(3))
+    program = parse_formula("x1 <-> x2 <-> x3", 3)
+    assert program == (("var", 0), ("var", 1), ("<->", 2), ("var", 2), ("<->", 2))
+
+
+def test_parse_keeps_a_chain_n_ary_but_not_across_parentheses():
+    assert parse_formula("x1 & x2 & !x3", 3) == (
+        ("var", 0), ("var", 1), ("var", 2), ("!", 1), ("&", 3),
+    )
+    assert parse_formula("(x1 ^ x2) ^ x3", 3) == (
+        ("var", 0), ("var", 1), ("^", 2), ("var", 2), ("^", 2),
+    )
 
 
 def test_parse_syntax_error_reports_position():
@@ -99,7 +110,57 @@ def test_parse_trailing_garbage():
 
 def test_max_variable():
     assert max_variable(parse_formula("x1 & (x3 | !x2)", 3)) == 3
-    assert max_variable(Const(1)) == 0
+    assert max_variable((("const", 1),)) == 0
+
+
+@pytest.mark.parametrize(
+    "text, arity, message, position",
+    [
+        ("", 2, "unexpected end of input", 0),
+        ("x1 &", 2, "unexpected end of input", 4),
+        ("!", 2, "unexpected end of input", 1),
+        ("(x1 x2", 2, "expected ')'", 4),
+        ("(x1", 2, "expected ')'", 3),
+        ("x1 )", 2, "unexpected token ')'", 3),
+        ("()", 2, "unexpected token ')'", 1),
+        ("x1 x2", 2, "unexpected token 'x2'", 3),
+        ("x3", 2, "variable x3 out of range for arity 2", 0),
+    ],
+)
+def test_parse_error_message_and_position(text, arity, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, arity)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def formula_trees(n: int):
+    leaves = st.one_of(
+        st.integers(0, n - 1).map(lambda k: ("var", k)),
+        st.integers(0, 1).map(lambda v: ("const", v)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda child: ("!", child)),
+            st.tuples(st.sampled_from("&|^"), st.lists(children, min_size=2, max_size=4)).map(
+                lambda pair: (pair[0], *pair[1])
+            ),
+            st.tuples(st.sampled_from(["->", "<->"]), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), formula_trees(n))))
+def test_rendered_random_trees_parse_back_and_compile_pointwise(case):
+    n, tree = case
+    program = parse_formula(render_tree(tree), n)
+    assert program == tree_program(tree)
+    f = compile(program, n)
+    assert [evaluate(f, point) for point in range(1 << n)] == [
+        tree_value(tree, point) for point in range(1 << n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +168,11 @@ def test_max_variable():
 
 
 def test_dimacs_single_clause():
-    assert parse_dimacs("p cnf 2 1\n1 2 0") == Or((Var(1), Var(2)))
+    assert parse_dimacs("p cnf 2 1\n1 2 0") == (("var", 0), ("var", 1), ("|", 2))
 
 
 def test_dimacs_contradiction():
-    assert parse_dimacs("p cnf 1 2\n1 0\n-1 0") == And((Var(1), Not(Var(1))))
+    assert parse_dimacs("p cnf 1 2\n1 0\n-1 0") == (("var", 0), ("var", 0), ("!", 1), ("&", 2))
 
 
 def test_dimacs_literal_out_of_range():
@@ -170,7 +231,7 @@ def test_dimacs_serialize_parse_round_trip(case):
     var_count, clauses = case
     text = serialize_dimacs(var_count, clauses)
     assert parse_dimacs_clauses(text) == (var_count, clauses)
-    assert parse_dimacs(text) == clauses_to_ast(clauses)
+    assert parse_dimacs(text) == clauses_to_ast(clauses) == tree_program(cnf_tree(clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +249,7 @@ def test_compile_xor_table():
 
 
 def test_compile_const_table():
-    f = compile(Const(1), 1)
+    f = compile((("const", 1),), 1)
     assert [evaluate(f, i) for i in range(2)] == [1, 1]
 
 
@@ -202,15 +263,15 @@ def test_compile_implies_iff_semantics():
 
 def test_compile_rejects_arity_above_cap():
     with pytest.raises(ValueError):
-        compile(Var(1), 25)
-    compile(Var(1), 5, max_n=5)
+        compile((("var", 0),), 25)
+    compile((("var", 0),), 5, max_n=5)
     with pytest.raises(ValueError):
-        compile(Var(1), 6, max_n=5)
+        compile((("var", 0),), 6, max_n=5)
 
 
 # Above _BLOCK_BITS variables compile builds the table one block at a
 # time, with the high variables constant per block; these run it on both
-# sides of that edge against a per-assignment evaluation of the AST.
+# sides of that edge against a per-assignment evaluation of a formula tree.
 
 
 def _random_3cnf(rng: random.Random, n: int, clause_count: int) -> list[list[int]]:
@@ -223,10 +284,10 @@ def _random_3cnf(rng: random.Random, n: int, clause_count: int) -> list[list[int
 def _every_node_formula(n: int):
     # Each operator has x_n or x_{n-1} as a direct argument, so above the
     # block size every operator sees a high variable.
-    hi, hi2, lo, mid = Var(n), Var(n - 1), Var(1), Var(n // 2)
-    left = Xor((hi, Or((lo, hi2)), And((mid, hi, Not(Var(2)))), Const(1)))
-    right = Implies(hi2, Or((Not(hi), Iff(hi, Var(3)), Const(0))))
-    return Iff(left, right)
+    hi, hi2, lo, mid = ("var", n - 1), ("var", n - 2), ("var", 0), ("var", n // 2 - 1)
+    left = ("^", hi, ("|", lo, hi2), ("&", mid, hi, ("!", ("var", 1))), ("const", 1))
+    right = ("->", hi2, ("|", ("!", hi), ("<->", hi, ("var", 2)), ("const", 0)))
+    return ("<->", left, right)
 
 
 def _sample_points(rng: random.Random, n: int) -> list[int]:
@@ -239,19 +300,20 @@ def _sample_points(rng: random.Random, n: int) -> list[int]:
 def test_compile_matches_pointwise_ast_across_the_block_edge(offset):
     n = _BLOCK_BITS + offset
     rng = random.Random(n)
-    formulas = [
-        clauses_to_ast(_random_3cnf(rng, n, 8)),
-        clauses_to_ast(_random_3cnf(rng, n, 2 * n)),
-        _every_node_formula(n),
+    cases = [
+        (clauses_to_ast(clauses), cnf_tree(clauses))
+        for clauses in (_random_3cnf(rng, n, 8), _random_3cnf(rng, n, 2 * n))
     ]
-    for ast in formulas:
-        f = compile(ast, n)
+    tree = _every_node_formula(n)
+    cases.append((parse_formula(render_tree(tree), n), tree))
+    for program, tree in cases:
+        f = compile(program, n)
         table = f.table
         values = set()
         # A dense CNF is true at few points; check its first one as well.
         for point in _sample_points(rng, n) + [sat_brute(f) or 0]:
-            expected = evaluate_ast(ast, point)
-            assert (table >> point) & 1 == expected, (ast, point)
+            expected = tree_value(tree, point)
+            assert (table >> point) & 1 == expected, (tree, point)
             values.add(expected)
         assert values == {0, 1}
 
@@ -259,17 +321,17 @@ def test_compile_matches_pointwise_ast_across_the_block_edge(offset):
 def test_compile_above_the_block_size_rejects_a_variable_past_the_arity():
     n = _BLOCK_BITS + 1
     with pytest.raises(ValueError, match=f"variable x{n + 1} out of range for arity {n}"):
-        compile(And((Var(1), Or((Var(n), Var(n + 1))))), n)
+        compile((("var", 0), ("var", n - 1), ("var", n), ("|", 2), ("&", 2)), n)
 
 
 def test_compile_peak_memory_stays_near_the_table_size():
     n = 24
     rng = random.Random(24)
-    ast = clauses_to_ast(_random_3cnf(rng, n, 102))
+    program = clauses_to_ast(_random_3cnf(rng, n, 102))
     table_bytes = (1 << n) // 8
     tracemalloc.start()
     try:
-        compile(ast, n)
+        compile(program, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -262,6 +262,8 @@ def test_bad_env_var_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "formula", ["!" * 5000 + "x1", "(" * 3000 + "x1" + ")" * 3000], ids=["negations", "parentheses"]
 )
-def test_deeply_nested_formula_exits_2_with_one_line(capsys, formula):
-    assert cli.run(["classify", formula]) == 2
-    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+def test_deeply_nested_formula_classifies_as_x1(capsys, formula):
+    assert cli.run(["classify", formula, "--json"]) == 0
+    nested = capsys.readouterr()
+    assert cli.run(["classify", "x1", "--json"]) == 0
+    assert nested == capsys.readouterr()

@@ -108,6 +108,8 @@ CASES = [
     (["dj", *ONES10, "--json"], None),
     (["dj", *BALANCED10, "--json"], None),
     (["sat-quantum", *ZEROS12, "--json"], None),
+    # ANF text naming a vertex above a lowered --max-n: the error names that cap
+    (["anf", "--format", "anf", "c 0\n0 25\n", "--max-n", "10"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -177,6 +179,7 @@ EXPECTED = [
     (0, '874ee867e5302f667c365eb8746f647eb1e02c4141b73346a44fc56593d99e0a', ''),
     (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
     (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 10\n'),
 ]
 
 

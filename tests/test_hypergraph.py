@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pilme.boolfn import BooleanFunction, ParseError, compile, from_table_hex, parse_formula
+from pilme.boolfn import (
+    BooleanFunction,
+    ParseError,
+    compile,
+    from_anf,
+    from_table_hex,
+    parse_formula,
+)
 from pilme.hypergraph import (
     Hypergraph,
     entangling_edge_exists,
@@ -10,7 +17,6 @@ from pilme.hypergraph import (
     hypergraph_to_json,
     parse_anf_text,
     render_anf_text,
-    state_from_hypergraph,
 )
 from pilme.lme_state import is_entangled, state_from_function
 
@@ -35,12 +41,12 @@ def hypergraphs(draw, max_n=8):
 
 def test_state_from_single_pair_edge():
     h = Hypergraph(2, coeff_from_edges(0, frozenset({frozenset({0, 1})})))
-    assert state_from_hypergraph(h).table == 0b1000
+    assert from_anf(h).table == 0b1000
 
 
 def test_state_from_constant_only():
     h = Hypergraph(3, coeff_from_edges(1, frozenset()))
-    assert state_from_hypergraph(h).table == 0xFF
+    assert from_anf(h).table == 0xFF
 
 
 def test_state_from_or_hypergraph():
@@ -51,12 +57,12 @@ def test_state_from_or_hypergraph():
     for i in range(4):
         signs |= brute_anf_value(0, edges, i) << i
     assert signs == 0b1110
-    assert state_from_hypergraph(h).table == signs
+    assert from_anf(h).table == signs
 
 
 @given(hypergraphs())
 def test_state_from_hypergraph_matches_pointwise_polynomial(h):
-    state = state_from_hypergraph(h)
+    state = from_anf(h)
     for i in range(min(state.size, 64)):
         expected = brute_anf_value(h.constant_bit, h.edges, i)
         assert ((state.table >> i) & 1) == expected
@@ -112,14 +118,14 @@ def test_synthesis_inverts_analysis_exhaustive_n3():
     for n in range(1, 4):
         for table in range(1 << (1 << n)):
             f = BooleanFunction(n, table)
-            assert state_from_hypergraph(hypergraph_of(f)) == state_from_function(f)
+            assert from_anf(hypergraph_of(f)) == state_from_function(f)
 
 
 @given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
 def test_synthesis_inverts_analysis_random(case):
     n, table = case
     f = BooleanFunction(n, table)
-    assert state_from_hypergraph(hypergraph_of(f)) == state_from_function(f)
+    assert from_anf(hypergraph_of(f)) == state_from_function(f)
 
 
 def test_degree_one_hypergraphs_generate_exactly_the_product_states():
@@ -128,7 +134,7 @@ def test_degree_one_hypergraphs_generate_exactly_the_product_states():
         for constant in (0, 1):
             for subset in range(1 << n):
                 edges = frozenset(frozenset({k}) for k in range(n) if (subset >> k) & 1)
-                generated.add(state_from_hypergraph(Hypergraph(n, coeff_from_edges(constant, edges))).table)
+                generated.add(from_anf(Hypergraph(n, coeff_from_edges(constant, edges))).table)
         assert generated == product_sign_vectors(n)
         assert len(generated) == 1 << (n + 1)
 
@@ -160,6 +166,8 @@ def test_parse_text_refuses_vertex_counts_above_the_cap():
         parse_anf_text("c 0\n0 30\n")
     with pytest.raises(ValueError, match="exceeds the configured cap"):
         parse_anf_text("c 1\n", vertex_count=25)
+    with pytest.raises(ValueError, match="arity 26 exceeds the configured cap 10"):
+        parse_anf_text("c 0\n0 25\n", max_n=10)
 
 
 def test_parse_text_rejects_malformed_input():

@@ -6,7 +6,10 @@ indices in formula syntax are 1-based while bit positions are 0-based.
 Packing the whole table into one int keeps classification a popcount and
 turns the subset-lattice transform into a handful of wide XORs.  Formulas
 parse into flat postfix programs, which `compile` runs over packed
-tables, one bit operation per instruction.
+tables, one bit operation per instruction.  Both table-wide passes,
+`compile` and the transform behind `anf`/`from_anf`, work on blocks of
+2**18 entries (the low 18 variables) that share one cached set of
+projection tables; the higher variables index the blocks.
 
 Everything here is an immutable value and every operation is a pure
 function, so tables can be shared freely across threads.
@@ -14,6 +17,7 @@ function, so tables can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -342,22 +346,39 @@ def variable_table(k: int, n: int) -> int:
     """Packed truth table of the projection onto bit k: bit i = bit k of i."""
     if not 0 <= k < n:
         raise ValueError("variable position out of range")
-    width = 1 << k
-    block = ((1 << width) - 1) << width
-    span = width * 2
-    total = 1 << n
-    while span < total:
-        block |= block << span
-        span *= 2
+    block = ((1 << (1 << k)) - 1) << (1 << k)
+    for span in range(k + 1, n):
+        block |= block << (1 << span)
     return block
 
 
-# Variables per block of the blocked evaluator.  A block of 2**18 entries
-# is a 32 KiB int, so an instruction's operands and result stay in the
-# per-core cache while the program runs over it; a whole table at n = 24
-# is 2 MiB and does not.  Smaller blocks multiply the per-instruction
+# Variables per block of `compile` and the Moebius transform.  A 2**18-entry
+# block is a 32 KiB int, so a pass's operands stay in the per-core cache (a
+# whole n = 24 table is 2 MiB).  Smaller blocks multiply the per-operation
 # interpreter cost by the block count for no further cache gain.
 _BLOCK_BITS = 18
+
+
+@functools.cache
+def _projections(low: int) -> tuple[int, ...]:
+    # x_1..x_low over one block, built once per process for every pass.
+    return tuple(variable_table(k, low) for k in range(low))
+
+
+def _split(packed: int, n: int) -> list[int]:
+    # Block j holds the 2**18 entries whose variables above x_18 spell j.
+    if n <= _BLOCK_BITS:
+        return [packed]
+    size = 1 << (_BLOCK_BITS - 3)
+    raw = packed.to_bytes(size << (n - _BLOCK_BITS), "little")
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _join(blocks: list[int]) -> int:
+    if len(blocks) == 1:
+        return blocks[0]
+    size = 1 << (_BLOCK_BITS - 3)
+    return int.from_bytes(b"".join(b.to_bytes(size, "little") for b in blocks), "little")
 
 
 def _binary_steps(program: Program) -> list[tuple[str, int]]:
@@ -373,29 +394,40 @@ def _binary_steps(program: Program) -> list[tuple[str, int]]:
             fold_after.update(dict.fromkeys(ends[len(ends) - taken + 1 :], op))
         del ends[len(ends) - taken :]
         ends.append(j)
-    steps = []
+    # Two negations in a row cancel, so "!" * 5000 costs nothing per block.
+    steps: list[tuple[str, int]] = []
     for j, step in enumerate(program):
-        if step[0] not in _FOLD:
+        if step[0] == "!" and steps and steps[-1][0] == "!":
+            steps.pop()
+        elif step[0] not in _FOLD:
             steps.append(step)
         if j in fold_after:
             steps.append((fold_after[j], 2))
     return steps
 
 
-def _packed_eval(program: Program, n: int) -> int:
+def compile(program: Program, arity: int, max_n: int = MAX_N) -> BooleanFunction:
+    """Materialize the truth table of a postfix program over the given arity.
+
+    The program runs over packed tables, one bit operation per
+    instruction, not per assignment, and one 2**18-entry block at a time,
+    so the peak memory stays near the table's own size.
+    """
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+    check_arity(arity, max_n)
     for op, arg in program:
-        if op == "var" and not 0 <= arg < n:
-            raise ValueError(f"variable x{arg + 1} out of range for arity {n}")
-    # The low `low` variables vary inside a block and are read off shared
-    # projection tables; every higher variable is constant across a block,
-    # all ones or 0 by the block number's bits.
-    low = min(n, _BLOCK_BITS)
+        if op == "var" and not 0 <= arg < arity:
+            raise ValueError(f"variable x{arg + 1} out of range for arity {arity}")
+    # Inside a block x_1..x_low are the shared projection tables and each
+    # higher variable is a constant, all ones or 0 by the block's number.
+    low = min(arity, _BLOCK_BITS)
     ones = (1 << (1 << low)) - 1
-    projections = [variable_table(k, low) for k in range(low)]
+    projections = _projections(low)
     steps = _binary_steps(program)
 
-    def block(number: int) -> int:
-        variables = projections + [ones if (number >> j) & 1 else 0 for j in range(n - low)]
+    def block(j: int) -> int:
+        variables = projections + tuple(ones if (j >> s) & 1 else 0 for s in range(arity - low))
         stack: list[int] = []
         for op, arg in steps:
             if op == "var":
@@ -414,34 +446,15 @@ def _packed_eval(program: Program, n: int) -> int:
                     stack[-1] = _FOLD[op](stack[-1], right)
         return stack[-1]
 
-    nbytes = ((1 << low) + 7) // 8
-    return int.from_bytes(
-        b"".join(block(number).to_bytes(nbytes, "little") for number in range(1 << (n - low))),
-        "little",
-    )
-
-
-def compile(program: Program, arity: int, max_n: int = MAX_N) -> BooleanFunction:
-    """Materialize the truth table of a postfix program over the given arity.
-
-    The program runs over packed tables, one bit operation per
-    instruction, not per assignment.  Above 2**18 entries the table is
-    built one 2**18-entry block at a time: the low 18 variables vary
-    inside a block and the higher ones are constants, so every operand
-    stays small enough for the cache and the peak memory stays near the
-    table's own size.
-    """
-    if arity < 1:
-        raise ValueError("arity must be at least 1")
-    check_arity(arity, max_n)
-    return BooleanFunction(arity, _packed_eval(program, arity))
+    return BooleanFunction(arity, _join([block(j) for j in range(1 << (arity - low))]))
 
 
 def evaluate(f: BooleanFunction, assignment: int) -> int:
     """f at one point: bit `assignment` of the table."""
     if not 0 <= assignment < f.size:
         raise IndexError(f"assignment {assignment} out of range for arity {f.arity}")
-    return (f.table >> assignment) & 1
+    # A mask of `assignment + 1` bits, not a shift of the whole table.
+    return 1 if f.table & (1 << assignment) else 0
 
 
 @dataclass(frozen=True)
@@ -469,14 +482,21 @@ def classify(f: BooleanFunction) -> ClassificationResult:
 
 
 def _mobius(packed: int, n: int) -> int:
-    # In-place butterfly over the packed table: one pass per variable XORs
-    # every lower half-block into its upper half.  Self-inverse over GF(2).
-    out = packed
-    for k in range(n):
-        width = 1 << k
-        lower_mask = variable_table(k, n) >> width
-        out ^= (out & lower_mask) << width
-    return out
+    # Level k XORs each entry with bit k clear into its partner 2**k above:
+    # inside each block for the low levels, between blocks j ^ 2**s and j
+    # for the high level s.  Self-inverse over GF(2).
+    low = min(n, _BLOCK_BITS)
+    projections = _projections(low)
+    blocks = _split(packed, n)
+    for j, b in enumerate(blocks):
+        for k, upper in enumerate(projections):
+            b ^= (b << (1 << k)) & upper
+        blocks[j] = b
+    for s in range(n - low):
+        for j in range(len(blocks)):
+            if (j >> s) & 1:
+                blocks[j] ^= blocks[j ^ (1 << s)]
+    return _join(blocks)
 
 
 def anf(f: BooleanFunction) -> Hypergraph:
@@ -484,7 +504,8 @@ def anf(f: BooleanFunction) -> Hypergraph:
 
     Bit S of the transformed table is the coefficient of the monomial
     over the variables in S; cost O(n * 2**n) regardless of how small a
-    formula produced the table.
+    formula produced the table.  It runs 18 levels inside each 2**18-entry
+    block, then one level of whole-block XORs per higher variable.
     """
     return Hypergraph(f.arity, _mobius(f.table, f.arity))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .boolfn import BooleanFunction, evaluate, variable_table
+from .boolfn import BooleanFunction, evaluate
 
 
 class NotProductError(ValueError):
@@ -41,14 +41,13 @@ class FactorDecomposition:
             raise ValueError("factors must be +1 or -1")
 
     def to_state(self) -> BooleanFunction:
-        """Expand the tensor product back into a packed sign vector: each
-        minus factor flips the sign wherever its qubit is set."""
-        n = len(self.factors)
-        signs = (1 << (1 << n)) - 1 if self.global_sign < 0 else 0
+        """Expand the tensor product in O(2**n) by doubling: the signs of
+        [2**k, 2**(k+1)) are those of [0, 2**k), flipped if factor k is minus."""
+        signs = 1 if self.global_sign < 0 else 0
         for k, eps in enumerate(self.factors):
-            if eps < 0:
-                signs ^= variable_table(k, n)
-        return BooleanFunction(n, signs)
+            width = 1 << k
+            signs |= (signs ^ ((1 << width) - 1 if eps < 0 else 0)) << width
+        return BooleanFunction(len(self.factors), signs)
 
 
 @dataclass(frozen=True)

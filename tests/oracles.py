@@ -1,6 +1,7 @@
 """Brute-force reference implementations, kept deliberately independent of
 the library's packed-int tricks and array kernels: plain per-index loops,
-and for the Hadamard gate its full dense matrix."""
+for the Hadamard gate its full dense matrix, and for the subset-lattice
+transform one numpy XOR per level over an unpacked bit array."""
 
 import itertools
 import math
@@ -19,6 +20,18 @@ def brute_anf_coefficients(table: int, n: int) -> int:
                 acc ^= (table >> t) & 1
         out |= acc << s
     return out
+
+
+def bit_array_anf_coefficients(table: int, n: int) -> int:
+    """XOR-polynomial coefficients by the subset-lattice transform on one
+    byte per entry: level k XORs each entry with bit k clear into the
+    entry 2**k above it.  Fast enough for n = 24."""
+    raw = np.frombuffer(table.to_bytes(max(1, (1 << n) // 8), "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[: 1 << n].copy()
+    for k in range(n):
+        pairs = bits.reshape(-1, 2, 1 << k)
+        pairs[:, 1, :] ^= pairs[:, 0, :]
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def coeff_from_edges(constant: int, edges) -> int:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pilme import boolfn
 from pilme.boolfn import (
     _BLOCK_BITS,
     BooleanFunction,
     Hypergraph,
     ParseError,
+    _binary_steps,
     anf,
     classify,
     clauses_to_ast,
@@ -28,6 +30,7 @@ from pilme.boolfn import (
 )
 
 from oracles import (
+    bit_array_anf_coefficients,
     brute_anf_coefficients,
     cnf_tree,
     coeff_from_edges,
@@ -338,12 +341,29 @@ def test_compile_peak_memory_stays_near_the_table_size():
     assert peak <= 4 * table_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_compile_cancels_negation_pairs():
+    assert _binary_steps(parse_formula("!" * 5000 + "x1", 1)) == [("var", 0)]
+    assert _binary_steps(parse_formula("!" * 5001 + "x1", 1)) == [("var", 0), ("!", 1)]
+    n = 20
+    for count, core in ((5000, "x1"), (5001, "!x1")):
+        long = compile(parse_formula("!" * count + "x1", n), n)
+        assert long == compile(parse_formula(core, n), n)
+
+
 def test_evaluate_examples():
     f = compile(parse_formula("x1 & x2", 2), 2)
     assert evaluate(f, 3) == 1
     assert evaluate(f, 0) == 0
     ghz = from_table_hex("d1", 3)
     assert evaluate(ghz, 4) == 1
+
+
+def test_evaluate_reads_the_table_bytes_on_both_sides_of_the_block_edge():
+    n = 24
+    f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+    raw = bytes.fromhex(to_table_hex(f))
+    for point in (0, 1, (1 << 18) - 1, 1 << 18, (1 << n) - 1):
+        assert evaluate(f, point) == (raw[point >> 3] >> (point & 7)) & 1
 
 
 def test_evaluate_out_of_range():
@@ -458,6 +478,67 @@ def test_anf_monomial_count_bound():
     for table in range(256):
         h = anf(BooleanFunction(3, table))
         assert len(h.edges) + h.constant_bit <= 8
+
+
+# Above _BLOCK_BITS variables the transform runs on 2**18-entry blocks:
+# the low levels inside each block, the high levels between whole blocks.
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20, 24])
+def test_anf_matches_the_bit_array_transform_across_the_block_edge(n):
+    f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+    h = anf(f)
+    assert h.coeff == bit_array_anf_coefficients(f.table, n)
+    if n == 24:
+        assert from_anf(h) == f
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_small_blocks_run_every_level_and_the_join(n, monkeypatch):
+    # Three-variable blocks put the high-level XORs and the block join on
+    # tables small enough for the brute-force references.
+    monkeypatch.setattr(boolfn, "_BLOCK_BITS", 3)
+    rng = random.Random(n)
+    for _ in range(3):
+        f = BooleanFunction(n, rng.getrandbits(1 << n))
+        h = anf(f)
+        assert h.coeff == brute_anf_coefficients(f.table, n)
+        assert from_anf(h) == f
+    for tree in (_every_node_formula(n), cnf_tree(_random_3cnf(rng, n, n))):
+        f = compile(tree_program(tree), n)
+        assert [evaluate(f, p) for p in range(1 << n)] == [
+            tree_value(tree, p) for p in range(1 << n)
+        ]
+
+
+def test_projection_tables_are_built_once_per_process(monkeypatch):
+    calls = []
+    real = boolfn.variable_table
+
+    def counting(k, n):
+        calls.append((k, n))
+        return real(k, n)
+
+    monkeypatch.setattr(boolfn, "variable_table", counting)
+    boolfn._projections.cache_clear()
+    f = BooleanFunction(24, random.Random(24).getrandbits(1 << 24))
+    anf(f)
+    assert len(calls) == _BLOCK_BITS
+    calls.clear()
+    anf(f)
+    assert calls == []
+
+
+def test_anf_peak_memory_stays_near_the_table_size():
+    f = BooleanFunction(24, random.Random(24).getrandbits(1 << 24))
+    anf(f)  # builds the shared projection tables outside the measurement
+    tracemalloc.start()
+    try:
+        anf(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
-README examples, a dense n=10 table, ANF text input and the common error
-paths.  A refactor of the library must leave every row unchanged.
+README examples, a dense n=10 table, ANF text input, ANF output at n=20
+and n=22 (above the 2**18-entry block size) and the common error paths.  A refactor of the library must leave every row unchanged.
 """
 
 import contextlib
@@ -110,6 +110,9 @@ CASES = [
     (["sat-quantum", *ZEROS12, "--json"], None),
     # ANF text naming a vertex above a lowered --max-n: the error names that cap
     (["anf", "--format", "anf", "c 0\n0 25\n", "--max-n", "10"], None),
+    # above the 2**18-entry block edge: the Moebius transform on several blocks
+    (["anf", "x1 & x3 | x2 ^ x20", "--n", "20"], None),
+    (["hypergraph", "--format", "anf", "c 1\n0 21\n3 7 12\n5\n1 2 3 4\n10 20\n8 9 15 21\n", "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -180,6 +183,8 @@ EXPECTED = [
     (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
     (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 10\n'),
+    (0, '1a6e2efc575a66407ba09650e5c739f4834d878f4d49b392c7962659d5db060c', ''),
+    (0, 'a6e4e122afa8d7a109b5dab36a82c3d23fc3f42f8200fd78148d381df7f32f5b', ''),
 ]
 
 

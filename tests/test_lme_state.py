@@ -111,6 +111,27 @@ def test_factorize_rejects_entangled_state():
         factorize(GHZ_STATE)
 
 
+def _decomposition(n, global_minus, minus_mask):
+    factors = tuple(-1 if (minus_mask >> k) & 1 else 1 for k in range(n))
+    return FactorDecomposition(-1 if global_minus else 1, factors)
+
+
+def test_to_state_matches_the_pointwise_product_for_every_sign_choice():
+    for n in range(1, 5):
+        for global_minus, minus_mask in itertools.product((0, 1), range(1 << n)):
+            expected = BooleanFunction(n, product_table(n, global_minus, minus_mask))
+            assert _decomposition(n, global_minus, minus_mask).to_state() == expected
+
+
+def test_to_state_matches_the_pointwise_product_at_n20():
+    n = 20
+    rng = random.Random(n)
+    for global_minus in (0, 1):
+        minus_mask = rng.randrange(1 << n)
+        expected = BooleanFunction(n, product_table(n, global_minus, minus_mask))
+        assert _decomposition(n, global_minus, minus_mask).to_state() == expected
+
+
 @given(product_states())
 def test_factorize_round_trips(decomp):
     state = decomp.to_state()

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Optional
 
-# Default cap on arity for table-building operations and the command
-# line's ceiling; a table at n = 24 occupies 2 MiB.  Library callers may
-# pass their own max_n to raise or lower it.
+# Cap on arity for table-building operations and the command line's
+# ceiling; a table at n = 24 occupies 2 MiB.
 MAX_N = 24
 
 Kind = Literal["constant0", "constant1", "balanced", "neither"]
@@ -42,10 +41,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-def check_arity(arity: int, max_n: int = MAX_N) -> None:
-    """Refuse to build a table wider than the configured cap."""
-    if arity > max_n:
-        raise ValueError(f"arity {arity} exceeds the configured cap {max_n}")
+def check_arity(arity: int, cap: int = MAX_N) -> None:
+    """Refuse to build a table wider than the cap."""
+    if arity > cap:
+        raise ValueError(f"arity {arity} exceeds the configured cap {cap}")
 
 
 def _check_packed(n: int, bits: int, n_name: str, bits_name: str) -> None:
@@ -406,7 +405,7 @@ def _binary_steps(program: Program) -> list[tuple[str, int]]:
     return steps
 
 
-def compile(program: Program, arity: int, max_n: int = MAX_N) -> BooleanFunction:
+def compile(program: Program, arity: int) -> BooleanFunction:
     """Materialize the truth table of a postfix program over the given arity.
 
     The program runs over packed tables, one bit operation per
@@ -415,7 +414,7 @@ def compile(program: Program, arity: int, max_n: int = MAX_N) -> BooleanFunction
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
-    check_arity(arity, max_n)
+    check_arity(arity)
     for op, arg in program:
         if op == "var" and not 0 <= arg < arity:
             raise ValueError(f"variable x{arg + 1} out of range for arity {arity}")
@@ -510,9 +509,9 @@ def anf(f: BooleanFunction) -> Hypergraph:
     return Hypergraph(f.arity, _mobius(f.table, f.arity))
 
 
-def from_anf(h: Hypergraph, max_n: int = MAX_N) -> BooleanFunction:
+def from_anf(h: Hypergraph) -> BooleanFunction:
     """Truth table of the XOR polynomial; exact inverse of anf."""
-    check_arity(h.vertex_count, max_n)
+    check_arity(h.vertex_count)
     return BooleanFunction(h.vertex_count, _mobius(h.coeff, h.vertex_count))
 
 
@@ -527,7 +526,7 @@ def sat_brute(f: BooleanFunction) -> Optional[int]:
     return (f.table & -f.table).bit_length() - 1
 
 
-def conjoin_fresh(f: BooleanFunction, count: int, max_n: int = MAX_N) -> BooleanFunction:
+def conjoin_fresh(f: BooleanFunction, count: int) -> BooleanFunction:
     """f AND `count` fresh variables appended above the existing ones.
 
     The satisfying assignments of the result are exactly those of f with
@@ -537,7 +536,7 @@ def conjoin_fresh(f: BooleanFunction, count: int, max_n: int = MAX_N) -> Boolean
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
     arity = f.arity + count
-    check_arity(arity, max_n)
+    check_arity(arity)
     return BooleanFunction(arity, f.table << ((1 << arity) - (1 << f.arity)))
 
 

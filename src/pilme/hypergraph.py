@@ -42,10 +42,10 @@ def entangling_edge_exists(h: Hypergraph) -> bool:
     return (h.coeff & unentangling) != h.coeff
 
 
-def hypergraph_of(f: BooleanFunction, max_n: int = MAX_N) -> Hypergraph:
+def hypergraph_of(f: BooleanFunction) -> Hypergraph:
     """The hypergraph of f, i.e. its XOR polynomial; exponential in the
     arity by construction."""
-    check_arity(f.arity, max_n)
+    check_arity(f.arity)
     return anf(f)
 
 

@@ -155,7 +155,7 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
     return StateVector(n + 1, amps, _fresh=True)
 
 
-def prepare_psi_f(f: BooleanFunction, max_n: int = SIM_MAX_N) -> StateVector:
+def prepare_psi_f(f: BooleanFunction) -> StateVector:
     """Run the oracle on the all-plus register with a minus ancilla and
     strip the (exactly) decoupled ancilla.
 
@@ -163,8 +163,8 @@ def prepare_psi_f(f: BooleanFunction, max_n: int = SIM_MAX_N) -> StateVector:
     matching the packed sign state of f sign for sign.
     """
     n = f.arity
-    if n > max_n:
-        raise ValueError(f"arity {n} exceeds the simulator cap {max_n}")
+    if n > SIM_MAX_N:
+        raise ValueError(f"arity {n} exceeds the simulator cap {SIM_MAX_N}")
     dim = 1 << (n + 1)
     amps = np.empty(dim)
     amps[: dim // 2] = 1.0 / math.sqrt(dim)
@@ -185,15 +185,15 @@ def signs_from_state(sv: StateVector) -> BooleanFunction:
     return BooleanFunction(sv.qubit_count, _pack_bits(sv.amplitudes < 0))
 
 
-def zero_outcome_probability(f: BooleanFunction, max_n: int = SIM_MAX_N) -> float:
+def zero_outcome_probability(f: BooleanFunction) -> float:
     """Probability of the all-zeros outcome after a full Hadamard layer on
     the sign state of f; equals ((sum of signs) / 2**n) squared."""
-    sv = prepare_psi_f(f, max_n=max_n)
+    sv = prepare_psi_f(f)
     out = StateVector(sv.qubit_count, _hadamard_layer(sv.amplitudes, sv.qubit_count), _fresh=True)
     return float(out.amplitudes[0] ** 2)
 
 
-def deutsch_jozsa(f: BooleanFunction, max_n: int = SIM_MAX_N) -> Literal["constant", "balanced"]:
+def deutsch_jozsa(f: BooleanFunction) -> Literal["constant", "balanced"]:
     """Constant-versus-balanced decision with one oracle use, simulated.
 
     The promise is checked eagerly: outside it the all-zeros probability
@@ -203,10 +203,10 @@ def deutsch_jozsa(f: BooleanFunction, max_n: int = SIM_MAX_N) -> Literal["consta
     """
     if classify(f).kind == "neither":
         raise PromiseViolationError("function is neither constant nor balanced")
-    return "constant" if zero_outcome_probability(f, max_n=max_n) > 0.5 else "balanced"
+    return "constant" if zero_outcome_probability(f) > 0.5 else "balanced"
 
 
-def algorithm1_end_to_end(f: BooleanFunction, max_n: int = SIM_MAX_N) -> SatVerdict:
+def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
     """Full SAT pipeline on the simulator.
 
     Prepare the sign state through the oracle, test product membership on
@@ -216,7 +216,7 @@ def algorithm1_end_to_end(f: BooleanFunction, max_n: int = SIM_MAX_N) -> SatVerd
     the all-zeros input.
     """
     trace: list[TraceStep] = []
-    psi = prepare_psi_f(f, max_n=max_n)
+    psi = prepare_psi_f(f)
     trace.append(
         TraceStep("prepare", 0, None, "oracle applied once to the plus register with a minus ancilla")
     )
@@ -226,7 +226,7 @@ def algorithm1_end_to_end(f: BooleanFunction, max_n: int = SIM_MAX_N) -> SatVerd
     trace.append(
         TraceStep("product_test", 1, None, "simulated state is a product: f is constant or balanced")
     )
-    outcome = deutsch_jozsa(f, max_n=max_n)
+    outcome = deutsch_jozsa(f)
     if outcome == "balanced":
         trace.append(TraceStep("deutsch_jozsa", 1, "satisfiable", "balanced"))
         return witness_lookup(f, trace, 1)
@@ -268,15 +268,18 @@ def helstrom_error_copies(a: BooleanFunction, b: BooleanFunction, copies: int) -
     are available; the pair overlap contracts to overlap**copies."""
     if copies < 1:
         raise ValueError("copies must be positive")
-    ov = overlap(a, b) ** copies
+    # A float overlap below 1 in size is at most 1 - 2**-53, so its power is
+    # already 0.0 at 2**64 copies: capping the exponent there gives the same
+    # value for any int, without converting a huge one to a float.
+    ov = overlap(a, b) ** min(copies, 1 << 64)
     return 0.5 * (1.0 - math.sqrt(1.0 - ov * ov))
 
 
-def unique_sat_pair(n: int, max_n: int = SIM_MAX_N) -> tuple[BooleanFunction, BooleanFunction]:
+def unique_sat_pair(n: int) -> tuple[BooleanFunction, BooleanFunction]:
     """The hardest no-instance/unique-instance pair: the all-plus state of
     the all-zeros function and the state with only the sign of |0...0>
     flipped (the indicator of the all-zeros string).  Their overlap is
     1 - 2/2**n, exponentially close to one."""
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be between 1 and {max_n}")
+    if not 1 <= n <= SIM_MAX_N:
+        raise ValueError(f"n must be between 1 and {SIM_MAX_N}")
     return BooleanFunction(n, 0), BooleanFunction(n, 1)

@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .boolfn import (
-    MAX_N,
-    BooleanFunction,
-    conjoin_fresh,
-    evaluate,
-    sat_brute,
-)
+from .boolfn import BooleanFunction, conjoin_fresh, evaluate, sat_brute
 from .lme_state import is_osm
 
 
@@ -100,7 +94,7 @@ def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
     return SatVerdict(bool(value), 0 if value else None, tuple(trace))
 
 
-def karp_reduce(f: BooleanFunction, max_n: int = MAX_N) -> BooleanFunction:
+def karp_reduce(f: BooleanFunction) -> BooleanFunction:
     """Map f to g = f AND two fresh variables.
 
     g keeps f's satisfying count while quadrupling the domain, so a
@@ -109,7 +103,7 @@ def karp_reduce(f: BooleanFunction, max_n: int = MAX_N) -> BooleanFunction:
     unsatisfiable f gives the all-zeros g, whose state is a product.
     Hence SAT(f) iff NOT cosm_star(g).
     """
-    return conjoin_fresh(f, 2, max_n=max_n)
+    return conjoin_fresh(f, 2)
 
 
 @dataclass

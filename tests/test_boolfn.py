@@ -267,9 +267,6 @@ def test_compile_implies_iff_semantics():
 def test_compile_rejects_arity_above_cap():
     with pytest.raises(ValueError):
         compile((("var", 0),), 25)
-    compile((("var", 0),), 5, max_n=5)
-    with pytest.raises(ValueError):
-        compile((("var", 0),), 6, max_n=5)
 
 
 # Above _BLOCK_BITS variables compile builds the table one block at a

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -148,6 +149,16 @@ def test_helstrom_with_copies(capsys):
     assert payload["helstrom_error_copies"] < payload["helstrom_error"]
 
 
+def test_helstrom_with_more_copies_than_a_float_holds(capsys):
+    copies = 10**400
+    payload = run_json(
+        capsys, ["helstrom", "--unique-sat-pair", "--n", "3", "--copies", str(copies), "--json"]
+    )
+    validate("helstrom", payload)
+    assert payload["copies"] == copies
+    assert payload["helstrom_error_copies"] == 0.0
+
+
 def test_verify(capsys):
     payload = run_json(capsys, ["verify", "--n", "2", "--json"])
     validate("verify", payload)
@@ -169,6 +180,11 @@ def test_file_input(capsys, tmp_path):
     path.write_text("x1 & x2 & x3\n")
     payload = run_json(capsys, ["classify", str(path), "--json"])
     assert payload == {"n": 3, "kind": "neither", "satisfying_count": 1}
+
+
+def test_directory_input_is_a_one_line_input_error(capsys, tmp_path):
+    assert cli.run(["classify", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
 
 
 def test_formula_arity_inferred_from_variables(capsys):
@@ -267,3 +283,18 @@ def test_deeply_nested_formula_classifies_as_x1(capsys, formula):
     nested = capsys.readouterr()
     assert cli.run(["classify", "x1", "--json"]) == 0
     assert nested == capsys.readouterr()
+
+
+def test_run_builds_the_parser_once(capsys, monkeypatch):
+    # Building the parser costs more than a small invocation, so run
+    # reuses one per process.
+    assert cli.run(["classify", "x1 & x2", "--json"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k)
+    )
+    for _ in range(3):
+        assert cli.run(["classify", "x1 & x2", "--json"]) == 0
+    capsys.readouterr()
+    assert built == []

@@ -3,9 +3,12 @@ of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
 README examples, a dense n=10 table, ANF text input, ANF output at n=20
-and n=22 (above the 2**18-entry block size) and the common error paths.  A refactor of the library must leave every row unchanged.
+and n=22 (above the 2**18-entry block size) and the common error paths,
+among them input above a lowered --max-n.  A refactor of the library must
+leave every row unchanged.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -113,6 +116,10 @@ CASES = [
     # above the 2**18-entry block edge: the Moebius transform on several blocks
     (["anf", "x1 & x3 | x2 ^ x20", "--n", "20"], None),
     (["hypergraph", "--format", "anf", "c 1\n0 21\n3 7 12\n5\n1 2 3 4\n10 20\n8 9 15 21\n", "--json"], None),
+    # a lowered --max-n refuses at the input, and bounds the reduce-karp image
+    (["reduce-karp", "x1 & x2", "--max-n", "3"], None),
+    (["sat", "--format", "dimacs", "-", "--max-n", "4"], "p cnf 5 1\n1 -5 0\n"),
+    (["classify", "x5", "--max-n", "4"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -185,6 +192,9 @@ EXPECTED = [
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 10\n'),
     (0, '1a6e2efc575a66407ba09650e5c739f4834d878f4d49b392c7962659d5db060c', ''),
     (0, 'a6e4e122afa8d7a109b5dab36a82c3d23fc3f42f8200fd78148d381df7f32f5b', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 4 exceeds the configured cap 3\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 5 exceeds the configured cap 4\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x5 out of range for arity 4 (at position 0)\n'),
 ]
 
 
@@ -198,11 +208,17 @@ def _invoke(argv, stdin, monkeypatch):
 
 
 def test_corpus_covers_every_subcommand():
+    # The subcommands come from the parser itself, so a new one fails here
+    # until the corpus pins it; one that reads input needs a text and a
+    # --json row.
     assert len(EXPECTED) == len(CASES)
-    assert {argv[0] for argv, _ in CASES} == {
-        "classify", "state", "separable", "anf", "hypergraph", "reduce-karp",
-        "sat", "sat-quantum", "dj", "helstrom", "verify",
-    }
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv, _ in CASES} == set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        if any(action.dest == "input" for action in sub._actions):
+            forms = {"--json" in argv for argv, _ in CASES if argv[0] == name}
+            assert forms == {False, True}, name
 
 
 @pytest.mark.parametrize(

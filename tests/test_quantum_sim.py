@@ -405,6 +405,10 @@ def test_helstrom_copies_reduces_error():
     single = helstrom_error(a, b)
     assert helstrom_error_copies(a, b, 1) == single
     assert helstrom_error_copies(a, b, 8) < single
+    # More copies than a float can hold: the overlap's power is exactly 0,
+    # or 1 for identical states.
+    assert helstrom_error_copies(a, b, 10**400) == 0.0
+    assert helstrom_error_copies(a, a, 10**400) == 0.5
     with pytest.raises(ValueError):
         helstrom_error_copies(a, b, 0)
 

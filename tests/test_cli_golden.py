@@ -2,7 +2,7 @@
 of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
-README examples, a dense n=10 table, ANF text input, ANF output at n=20
+README examples, dense n=10 and n=12 tables, ANF text input, ANF output at n=20
 and n=22 (above the 2**18-entry block size) and the common error paths,
 among them input above a lowered --max-n.  A refactor of the library must
 leave every row unchanged.
@@ -28,9 +28,15 @@ _blocks = [hashlib.sha256(b"pilme golden n=10").digest()]
 while len(_blocks) < 4:
     _blocks.append(hashlib.sha256(_blocks[-1]).digest())
 DENSE10 = b"".join(_blocks).hex()
+# The same for 4096 entries: sixteen chained blocks.
+_blocks = [hashlib.sha256(b"pilme golden n=12").digest()]
+while len(_blocks) < 16:
+    _blocks.append(hashlib.sha256(_blocks[-1]).digest())
+DENSE12 = b"".join(_blocks).hex()
 
 DIMACS_CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 HEX10 = ["--format", "table-hex", DENSE10, "--n", "10"]
+HEX12 = ["--format", "table-hex", DENSE12, "--n", "12"]
 D1 = ["--format", "table-hex", "d1", "--n", "3"]
 # p0 is printed to 17 digits, so these pin the simulator's float arithmetic:
 # constant 1, and balanced but not affine (the lower half of DENSE10, then
@@ -120,6 +126,9 @@ CASES = [
     (["reduce-karp", "x1 & x2", "--max-n", "3"], None),
     (["sat", "--format", "dimacs", "-", "--max-n", "4"], "p cnf 5 1\n1 -5 0\n"),
     (["classify", "x5", "--max-n", "4"], None),
+    # a dense n=12 hypergraph: about 2,000 edges, so the edge order is pinned
+    (["anf", *HEX12], None),
+    (["hypergraph", *HEX12, "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -195,6 +204,8 @@ EXPECTED = [
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 4 exceeds the configured cap 3\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 5 exceeds the configured cap 4\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x5 out of range for arity 4 (at position 0)\n'),
+    (0, '2a49b28396974168ebcad200422dcb443c78981a35ec7498860eae667902c7a4', ''),
+    (0, '940d62505ba867c31936886d47727b03a1719d7fd9e61459b19056f6b8e5a4b6', ''),
 ]
 
 

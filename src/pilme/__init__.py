@@ -20,7 +20,6 @@ from .boolfn import (
     parse_dimacs_clauses,
     parse_formula,
     sat_brute,
-    serialize_dimacs,
     to_table_hex,
 )
 from .hypergraph import (

@@ -95,20 +95,18 @@ class Hypergraph:
     def constant_bit(self) -> int:
         return self.coeff & 1
 
-    # Cached: reading the edges is a full pass over `coeff`, and `edges`
-    # and `sorted_edges()` both read them.
     @cached_property
-    def _edge_tuples(self) -> tuple[tuple[int, ...], ...]:
-        edges = [tuple(_set_bits(mask)) for mask in _set_bits(self.coeff) if mask]
-        return tuple(sorted(edges, key=lambda t: (len(t), t)))
-
-    @property
-    def edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(map(frozenset, self._edge_tuples))
-
-    def sorted_edges(self) -> list[tuple[int, ...]]:
-        """Edges in a deterministic order: by size, then lexicographically."""
-        return list(self._edge_tuples)
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Each edge as its ascending vertices, ordered by size, then
+        lexicographically; decoded from `coeff` once per value."""
+        vertices = range(self.vertex_count)
+        edges = [
+            tuple([v for v in vertices if mask >> v & 1]) for mask in _set_bits(self.coeff) if mask
+        ]
+        # Two stable passes give the (size, vertices) order without a key tuple per edge.
+        edges.sort()
+        edges.sort(key=len)
+        return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +196,11 @@ def parse_formula(text: str, arity: int) -> Program:
                 program.append(("const", int(token)))
                 want_operand = False
             elif token[0] == "x":
-                if not 1 <= int(token[1:]) <= arity:
+                digits = token[1:].lstrip("0")
+                # Count the digits before int(), which refuses over 4,300 of them.
+                if len(digits) > len(str(arity)) or not 1 <= int(digits or "0") <= arity:
                     raise ParseError(f"variable {token} out of range for arity {arity}", at)
-                program.append(("var", int(token[1:]) - 1))
+                program.append(("var", int(digits) - 1))
                 want_operand = False
             else:
                 raise ParseError(f"unexpected token {token!r}", at)
@@ -320,21 +320,6 @@ def parse_dimacs(text: str) -> Program:
     count, recoverable via parse_dimacs_clauses)."""
     _, clauses = parse_dimacs_clauses(text)
     return clauses_to_ast(clauses)
-
-
-def serialize_dimacs(var_count: int, clauses: Iterable[Iterable[int]]) -> str:
-    """Render clauses back to DIMACS text; inverse of parse_dimacs_clauses."""
-    if var_count < 1:
-        raise ValueError("variable count must be at least 1")
-    body = []
-    for clause in clauses:
-        literals = list(clause)
-        for literal in literals:
-            if literal == 0 or abs(literal) > var_count:
-                raise ValueError(f"literal {literal} out of range")
-        body.append(" ".join(str(lit) for lit in literals + [0]))
-    header = f"p cnf {var_count} {len(body)}"
-    return "\n".join([header] + body) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ PILME_MAX_N) and --format, and refuses an arity above the configured cap
 before any table is built.  Each handler returns its facts, and `run`
 alone prints them.
 
-Exit codes: 0 success, 1 domain errors (entanglement undefined, simulator
-caps, promise violations, verification failures), 2 usage and input
-parse errors.
+Exit codes: 0 success, 1 domain errors (arity and simulator caps,
+promise violations, verification failures), 2 usage and input parse
+errors.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def _sat_quantum(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
 
 
 def _dj(f: BooleanFunction, args: argparse.Namespace) -> dict:
-    kind = quantum_sim.deutsch_jozsa(f)
-    return {"n": f.arity, "kind": kind, "p0": quantum_sim.zero_outcome_probability(f)}
+    kind, p0 = quantum_sim.deutsch_jozsa(f)
+    return {"n": f.arity, "kind": kind, "p0": p0}
 
 
 def _helstrom(args: argparse.Namespace) -> dict:

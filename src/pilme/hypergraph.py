@@ -57,8 +57,7 @@ def render_anf_text(h: Hypergraph) -> str:
     """One header line ``c <0|1>`` then one monomial per line as
     space-separated vertex indices."""
     lines = [f"c {h.constant_bit}"]
-    for edge in h.sorted_edges():
-        lines.append(" ".join(str(v) for v in edge))
+    lines.extend(" ".join(map(str, edge)) for edge in h.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -111,5 +110,5 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
     return {
         "n": h.vertex_count,
         "c": h.constant_bit,
-        "edges": [list(edge) for edge in h.sorted_edges()],
+        "edges": [list(edge) for edge in h.edges],
     }

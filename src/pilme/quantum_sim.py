@@ -193,8 +193,9 @@ def zero_outcome_probability(f: BooleanFunction) -> float:
     return float(out.amplitudes[0] ** 2)
 
 
-def deutsch_jozsa(f: BooleanFunction) -> Literal["constant", "balanced"]:
-    """Constant-versus-balanced decision with one oracle use, simulated.
+def deutsch_jozsa(f: BooleanFunction) -> tuple[Literal["constant", "balanced"], float]:
+    """Constant-versus-balanced decision with one oracle use, simulated;
+    returns the label and the all-zeros probability it was read from.
 
     The promise is checked eagerly: outside it the all-zeros probability
     is strictly between 0 and 1 and the label would be meaningless.
@@ -203,7 +204,8 @@ def deutsch_jozsa(f: BooleanFunction) -> Literal["constant", "balanced"]:
     """
     if classify(f).kind == "neither":
         raise PromiseViolationError("function is neither constant nor balanced")
-    return "constant" if zero_outcome_probability(f) > 0.5 else "balanced"
+    p0 = zero_outcome_probability(f)
+    return ("constant" if p0 > 0.5 else "balanced"), p0
 
 
 def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
@@ -226,7 +228,7 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
     trace.append(
         TraceStep("product_test", 1, None, "simulated state is a product: f is constant or balanced")
     )
-    outcome = deutsch_jozsa(f)
+    outcome, _ = deutsch_jozsa(f)
     if outcome == "balanced":
         trace.append(TraceStep("deutsch_jozsa", 1, "satisfiable", "balanced"))
         return witness_lookup(f, trace, 1)

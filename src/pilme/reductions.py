@@ -116,10 +116,6 @@ class ReductionReport:
     turing_failures: list[int]
     karp_failures: list[int]
 
-    @property
-    def passed(self) -> bool:
-        return not self.turing_failures and not self.karp_failures
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

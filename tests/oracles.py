@@ -46,6 +46,15 @@ def coeff_from_edges(constant: int, edges) -> int:
     return coeff
 
 
+def sorted_edges_of(coeff: int, n: int) -> tuple:
+    """The edges of a coefficient int, read one bit at a time, as vertex
+    tuples sorted by (size, vertices)."""
+    edges = [
+        tuple(v for v in range(n) if (s >> v) & 1) for s in range(1, 1 << n) if (coeff >> s) & 1
+    ]
+    return tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
+
+
 def brute_anf_value(constant: int, edges, point: int) -> int:
     """Evaluate an XOR polynomial at one point from its edge list."""
     acc = constant
@@ -153,6 +162,13 @@ def cnf_tree(clauses):
     if not clauses:
         return ("const", 1)
     return clause(clauses[0]) if len(clauses) == 1 else ("&", *map(clause, clauses))
+
+
+def serialize_dimacs(var_count: int, clauses) -> str:
+    """DIMACS text of a clause list: the header, then one 0-terminated
+    clause per line."""
+    body = [" ".join(map(str, [*clause, 0])) for clause in clauses]
+    return "\n".join([f"p cnf {var_count} {len(body)}", *body]) + "\n"
 
 
 def product_table(n: int, global_minus: int, minus_mask: int) -> int:

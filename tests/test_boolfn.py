@@ -25,7 +25,6 @@ from pilme.boolfn import (
     parse_dimacs_clauses,
     parse_formula,
     sat_brute,
-    serialize_dimacs,
     to_table_hex,
 )
 
@@ -36,6 +35,8 @@ from oracles import (
     coeff_from_edges,
     pointwise_satisfying_count,
     render_tree,
+    serialize_dimacs,
+    sorted_edges_of,
     tree_program,
     tree_value,
 )
@@ -68,6 +69,10 @@ def test_parse_mixed_precedence():
 def test_parse_variable_out_of_range():
     with pytest.raises(ParseError):
         parse_formula("x3", 2)
+
+
+def test_parse_variable_index_counts_digits_past_leading_zeros():
+    assert parse_formula("x01 & x" + "0" * 5000 + "24", 24) == (("var", 0), ("var", 23), ("&", 2))
 
 
 def test_parse_precedence_or_binds_looser_than_and():
@@ -128,6 +133,10 @@ def test_max_variable():
         ("()", 2, "unexpected token ')'", 1),
         ("x1 x2", 2, "unexpected token 'x2'", 3),
         ("x3", 2, "variable x3 out of range for arity 2", 0),
+        pytest.param(  # past int()'s 4,300-digit limit
+            "x1 & x" + "9" * 5000, 24, f"variable x{'9' * 5000} out of range for arity 24", 5,
+            id="x-5000-digits",
+        ),
     ],
 )
 def test_parse_error_message_and_position(text, arity, message, position):
@@ -392,7 +401,7 @@ def test_classify_counts_match_pointwise_evaluation_exhaustive():
 
 def test_anf_of_and():
     h = anf(compile(parse_formula("x1 & x2", 2), 2))
-    assert (h.constant_bit, h.edges) == (0, frozenset({frozenset({0, 1})}))
+    assert (h.constant_bit, h.edges) == (0, ((0, 1),))
 
 
 def test_anf_of_or_matches_brute_force():
@@ -400,12 +409,12 @@ def test_anf_of_or_matches_brute_force():
     assert brute_anf_coefficients(f.table, 2) == 0b1110
     h = anf(f)
     assert h.constant_bit == 0
-    assert h.edges == frozenset({frozenset({0}), frozenset({1}), frozenset({0, 1})})
+    assert h.edges == ((0,), (1,), (0, 1))
 
 
 def test_anf_of_constant_one():
     h = anf(BooleanFunction(3, 0xFF))
-    assert (h.constant_bit, h.edges) == (1, frozenset())
+    assert (h.constant_bit, h.edges) == (1, ())
 
 
 def test_anf_matches_brute_force_exhaustive_n3():
@@ -469,6 +478,17 @@ def test_anf_of_from_anf_is_identity(case):
 def test_anf_unique_per_table_n3():
     images = {anf(BooleanFunction(3, t)) for t in range(256)}
     assert len(images) == 256
+
+
+def test_anf_edges_match_a_brute_force_sort():
+    # Every table up to n = 3, then dense seeded tables up to n = 16: the
+    # edges come out by size, then by vertices.
+    rng = random.Random(2014)
+    cases = [(n, table) for n in range(1, 4) for table in range(1 << (1 << n))]
+    cases += [(n, rng.getrandbits(1 << n)) for n in range(8, 17)]
+    for n, table in cases:
+        expected = sorted_edges_of(bit_array_anf_coefficients(table, n), n)
+        assert anf(BooleanFunction(n, table)).edges == expected
 
 
 def test_anf_monomial_count_bound():
@@ -632,6 +652,4 @@ def test_hypergraph_validation():
         Hypergraph(2, 1 << 4)  # coefficient of a monomial over vertex 2
     with pytest.raises(ValueError):
         Hypergraph(2, -1)
-    assert Hypergraph(2, (1 << 4) - 1).edges == frozenset(
-        {frozenset({0}), frozenset({1}), frozenset({0, 1})}
-    )
+    assert Hypergraph(2, (1 << 4) - 1).edges == ((0,), (1,), (0, 1))

@@ -6,7 +6,7 @@ import math
 import jsonschema
 import pytest
 
-from pilme import cli
+from pilme import cli, quantum_sim
 from pilme.schemas import SCHEMAS
 
 
@@ -132,6 +132,15 @@ def test_dj(capsys):
     payload = run_json(capsys, ["dj", "x1 ^ x2 ^ x3", "--json"])
     validate("dj", payload)
     assert payload == {"n": 3, "kind": "balanced", "p0": 0.0}
+
+
+def test_dj_simulates_the_circuit_once(capsys, monkeypatch):
+    calls = []
+    apply_uf = quantum_sim.apply_uf
+    monkeypatch.setattr(quantum_sim, "apply_uf", lambda *a: calls.append(a) or apply_uf(*a))
+    payload = run_json(capsys, ["dj", "x1 ^ x2 ^ x3", "--json"])
+    assert payload["kind"] == "balanced"
+    assert len(calls) == 1
 
 
 def test_helstrom(capsys):

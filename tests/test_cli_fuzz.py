@@ -31,6 +31,8 @@ TEXTS = st.one_of(
     st.text(alphabet="x123456789 01()!&^|-<>%cp\n", max_size=40),
     st.binary(min_size=1, max_size=32).map(bytes.hex),
     st.sampled_from(["x1 & x2", "x1 ^ x2 ^ x3", "p cnf 2 1\n1 -2 0\n", "c 1\n0 1\n2\n", "d1", "-", "."]),
+    # a variable index of up to 5,000 digits, past int()'s 4,300-digit limit
+    st.builds(lambda digit, count: "x" + digit * count, st.sampled_from("0123456789"), st.integers(1, 5000)),
 )
 
 

@@ -229,18 +229,20 @@ def test_gates_preserve_norm():
 
 
 def test_dj_constant_one():
-    assert deutsch_jozsa(BooleanFunction(3, 0xFF)) == "constant"
-    assert zero_outcome_probability(BooleanFunction(3, 0xFF)) == pytest.approx(1.0, abs=NORM_TOL)
+    kind, p0 = deutsch_jozsa(BooleanFunction(3, 0xFF))
+    assert kind == "constant"
+    assert p0 == zero_outcome_probability(BooleanFunction(3, 0xFF)) == pytest.approx(1.0, abs=NORM_TOL)
 
 
 def test_dj_projection_is_balanced():
     f = _fn("x1", 2)
-    assert deutsch_jozsa(f) == "balanced"
-    assert zero_outcome_probability(f) == pytest.approx(0.0, abs=NORM_TOL)
+    kind, p0 = deutsch_jozsa(f)
+    assert kind == "balanced"
+    assert p0 == zero_outcome_probability(f) == pytest.approx(0.0, abs=NORM_TOL)
 
 
 def test_dj_parity_is_balanced():
-    assert deutsch_jozsa(_fn("x1 ^ x2 ^ x3", 3)) == "balanced"
+    assert deutsch_jozsa(_fn("x1 ^ x2 ^ x3", 3))[0] == "balanced"
 
 
 def test_dj_rejects_promise_violation():

@@ -35,7 +35,6 @@ from .lme_state import (
     count_osm_states,
     factorize,
     find_certificate,
-    is_entangled,
     is_osm,
     state_from_function,
     verify_certificate,

@@ -160,11 +160,3 @@ def count_osm_states(n: int) -> int:
     if n > 4:
         raise ValueError("exhaustive census is limited to n <= 4")
     return sum(1 for v in range(1 << (1 << n)) if is_osm(BooleanFunction(n, v)))
-
-
-def is_entangled(state: BooleanFunction) -> bool:
-    """Entanglement is the complement of product membership for this state
-    family; undefined (an error) on a single qubit."""
-    if state.arity < 2:
-        raise ValueError("entanglement is undefined for a single qubit")
-    return not is_osm(state)

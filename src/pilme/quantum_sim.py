@@ -1,10 +1,10 @@
-"""Real-amplitude statevector simulation of the oracle circuits.
+"""Exact integer statevector simulation of the oracle circuits.
 
-Every gate the pipelines need (bit-flip oracles, Hadamard layers, phase
-flips) maps real vectors to real vectors, so amplitudes are plain
-float64 arrays and signs can be read off exactly.  Measurements are
-reported as exact outcome probabilities; the quantities of interest are
-all 0/1 or closed-form, so nothing is sampled.
+Every gate the pipelines need is an amplitude permutation (the bit-flip
+oracle) or a Hadamard, (a, b) -> (a + b, a - b) / sqrt(2).  So a state is
+an int32 vector a with one exponent e, standing for a * 2**(-e/2).  After
+a Hadamard layer a sign state holds the Walsh values of f, and every
+outcome probability is an exact dyadic rational: nothing is rounded.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from .boolfn import BooleanFunction, classify
 from .lme_state import is_osm
 from .reductions import SatVerdict, TraceStep, witness_lookup
 
-# 2**21 float64 amplitudes (state plus ancilla) is 16 MiB.
+# 2**21 int32 amplitudes (state plus ancilla) is 8 MiB.
 SIM_MAX_N = 20
-NORM_TOL = 1e-12
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+# The bound on exponent + qubit_count.  With every |a| <= 2**(e/2), which
+# is checked on outside input (this module's own arrays hold it by
+# construction), the int64 sum of squares cannot wrap, and a butterfly sum
+# fits in int32.
+_MAX_SCALE = 62
 
 
 class PromiseViolationError(ValueError):
@@ -31,24 +34,34 @@ class PromiseViolationError(ValueError):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized real amplitude vector over 2**qubit_count basis states.
+    """The state amplitudes * 2**(-exponent/2) over 2**qubit_count basis
+    states, held as int32 amplitudes whose squares sum to 2**exponent.
 
     Instances are immutable; gate application returns a new vector.  The
     amplitudes are copied unless `_fresh` is set, which this module does
-    only for a float64 array it has just allocated and hands over.
+    only for an int32 array it has just allocated and hands over.
     """
 
     qubit_count: int
     amplitudes: np.ndarray
+    exponent: int = 0
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh: bool) -> None:
-        if self.qubit_count < 1:
+        n, e = self.qubit_count, self.exponent
+        if n < 1:
             raise ValueError("qubit_count must be at least 1")
-        amps = self.amplitudes if _fresh else np.array(self.amplitudes, dtype=np.float64, copy=True)
-        if amps.shape != (1 << self.qubit_count,):
+        if not 0 <= e <= _MAX_SCALE - n:
+            raise ValueError(f"exponent must be between 0 and {_MAX_SCALE - n} at {n} qubits")
+        amps = self.amplitudes if _fresh else np.array(self.amplitudes)
+        if amps.shape != (1 << n,):
             raise ValueError("amplitude vector has the wrong length")
-        if abs(float(amps @ amps) - 1.0) > NORM_TOL:
+        if amps.dtype.kind not in "iu":
+            raise ValueError("amplitudes must be integers")
+        bound = math.isqrt(1 << e)
+        in_range = _fresh or -bound <= amps.min() and amps.max() <= bound
+        amps = amps.astype(np.int32, copy=False)
+        if not in_range or int(np.einsum("i,i->", amps, amps, dtype=np.int64)) != 1 << e:
             raise ValueError("state vector is not normalized")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -66,73 +79,50 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 
 def _hadamard_in_place(amps: np.ndarray, n: int, qubit: int) -> None:
-    """Hadamard on one qubit of a writable n-qubit float64 vector, in place.
-
-    Each pair (lo, hi) of amplitudes 2**qubit apart becomes
-    ((lo + hi) * 2**-0.5, (lo - hi) * 2**-0.5): one butterfly of the fast
-    Walsh-Hadamard transform, rounded exactly like the matrix gate.
+    """Hadamard on one qubit of a writable n-qubit int32 vector, in place
+    and unscaled: each pair (lo, hi) of amplitudes 2**qubit apart becomes
+    (lo + hi, lo - hi), one butterfly of the fast Walsh-Hadamard transform.
+    The caller adds 1 to the exponent for the factor 2**-0.5.
     """
     cube = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
     lo, hi = cube[:, 0, :], cube[:, 1, :]
     total = lo + hi
     np.subtract(lo, hi, out=hi)
-    hi *= _SQRT_HALF
-    np.multiply(total, _SQRT_HALF, out=lo)
-
-
-def _transpose(amps: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """amps viewed as a (rows, cols) matrix, transposed into a new flat
-    array 64 rows at a time, so each strip is read from cache."""
-    src = amps.reshape(rows, cols)
-    out = np.empty((cols, rows))
-    for start in range(0, rows, 64):
-        out[:, start : start + 64] = src[start : start + 64].T
-    return out.reshape(-1)
-
-
-def _hadamard_layer(amps: np.ndarray, n: int) -> np.ndarray:
-    """Hadamard on qubits 0, 1, ..., n-1 in turn; returns a new vector.
-
-    A butterfly on a low qubit works on runs of 2**qubit amplitudes, and
-    numpy's per-run overhead dominates short runs.  So the low half of the
-    qubits runs on the transposed vector, where they are the high bits.
-    Every butterfly still sees the same operands in the same order.
-    """
-    low = n // 2
-    moved = _transpose(amps, 1 << (n - low), 1 << low)
-    for qubit in range(low):
-        _hadamard_in_place(moved, n, n - low + qubit)
-    out = _transpose(moved, 1 << low, 1 << (n - low))
-    for qubit in range(low, n):
-        _hadamard_in_place(out, n, qubit)
-    return out
+    lo[...] = total
 
 
 def basis_state(qubit_count: int, index: int) -> StateVector:
     """Computational basis state |index>."""
     if not 0 <= index < (1 << qubit_count):
         raise ValueError("basis index out of range")
-    amps = np.zeros(1 << qubit_count)
-    amps[index] = 1.0
+    amps = np.zeros(1 << qubit_count, dtype=np.int32)
+    amps[index] = 1
     return StateVector(qubit_count, amps, _fresh=True)
 
 
 def apply_hadamard(sv: StateVector, qubit: int) -> StateVector:
-    """Hadamard on one qubit."""
+    """Hadamard on one qubit.  The amplitudes are halved while all are even,
+    so the exponent is the least one possible and H twice is the identity
+    on the integers too."""
     n = sv.qubit_count
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
     amps = sv.amplitudes.copy()
     _hadamard_in_place(amps, n, qubit)
-    return StateVector(n, amps, _fresh=True)
+    exponent = sv.exponent + 1
+    # A normalized vector is never all zero, so this loop ends.
+    while not (amps & 1).any():
+        amps >>= 1
+        exponent -= 2
+    return StateVector(n, amps, exponent, _fresh=True)
 
 
 def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVector:
     """Oracle gate |x>|y> -> |x>|y xor f(x)>.
 
     The register x is read from the non-ancilla qubits in increasing
-    position order.  The gate is a permutation of amplitudes, so the norm
-    is preserved exactly.
+    position order.  The gate is a permutation of amplitudes, so the
+    exponent is unchanged.
     """
     n = f.arity
     if sv.qubit_count != n + 1:
@@ -142,55 +132,59 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
     # Index (high, y, low), with low below the ancilla, holds |x = high * 2**a
     # + low>|y>, so f's table in the shape (high, low) lines up with both
     # halves.  The halves swap wherever f(x) is 1: XOR each with the masked
-    # XOR of the two, on the raw float64 bits, so no branch and no rounding.
+    # XOR of the two, so no branch.
     shape = (1 << (n - ancilla_index), 2, 1 << ancilla_index)
     flips = _bit_array(f.table, 1 << n).reshape(shape[0], shape[2])
-    before = sv.amplitudes.view(np.uint64).reshape(shape)
+    before = sv.amplitudes.reshape(shape)
     swap = before[:, 0, :] ^ before[:, 1, :]
     swap *= flips
-    amps = np.empty(1 << (n + 1))
-    after = amps.view(np.uint64).reshape(shape)
+    amps = np.empty(1 << (n + 1), dtype=np.int32)
+    after = amps.reshape(shape)
     np.bitwise_xor(before[:, 0, :], swap, out=after[:, 0, :])
     np.bitwise_xor(before[:, 1, :], swap, out=after[:, 1, :])
-    return StateVector(n + 1, amps, _fresh=True)
+    return StateVector(n + 1, amps, sv.exponent, _fresh=True)
 
 
 def prepare_psi_f(f: BooleanFunction) -> StateVector:
     """Run the oracle on the all-plus register with a minus ancilla and
     strip the (exactly) decoupled ancilla.
 
-    The returned n-qubit vector has amplitudes (-1)**f(i) / sqrt(2**n),
-    matching the packed sign state of f sign for sign.
+    The returned n-qubit vector has amplitudes (-1)**f(i) and exponent n,
+    so it stands for (-1)**f(i) / sqrt(2**n), matching the packed sign
+    state of f sign for sign.
     """
     n = f.arity
     if n > SIM_MAX_N:
         raise ValueError(f"arity {n} exceeds the simulator cap {SIM_MAX_N}")
-    dim = 1 << (n + 1)
-    amps = np.empty(dim)
-    amps[: dim // 2] = 1.0 / math.sqrt(dim)
-    amps[dim // 2 :] = -1.0 / math.sqrt(dim)
-    after = apply_uf(StateVector(n + 1, amps, _fresh=True), f, n)
-    lower = after.amplitudes[: dim // 2]
-    upper = after.amplitudes[dim // 2 :]
-    if not np.array_equal(upper, -lower):
+    half = 1 << n
+    amps = np.ones(2 * half, dtype=np.int32)
+    amps[half:] = -1
+    after = apply_uf(StateVector(n + 1, amps, n + 1, _fresh=True), f, n)
+    lower = after.amplitudes[:half]
+    if not np.array_equal(after.amplitudes[half:], -lower):
         raise RuntimeError("ancilla failed to decouple")
-    return StateVector(n, lower * math.sqrt(2.0), _fresh=True)
+    return StateVector(n, lower.copy(), n, _fresh=True)
 
 
 def signs_from_state(sv: StateVector) -> BooleanFunction:
     """Read the packed sign pattern off an equal-weight real state."""
-    scale = 1.0 / math.sqrt(sv.amplitudes.size)
-    if float(np.max(np.abs(np.abs(sv.amplitudes) - scale))) > NORM_TOL:
+    magnitude = abs(int(sv.amplitudes[0]))
+    if (np.abs(sv.amplitudes) != magnitude).any():
         raise ValueError("amplitudes are not an equal-weight sign pattern")
     return BooleanFunction(sv.qubit_count, _pack_bits(sv.amplitudes < 0))
 
 
 def zero_outcome_probability(f: BooleanFunction) -> float:
     """Probability of the all-zeros outcome after a full Hadamard layer on
-    the sign state of f; equals ((sum of signs) / 2**n) squared."""
+    the sign state of f.  The layer leaves the Walsh values W_f at exponent
+    2n, so this is W_f(0)**2 / 2**(2n) = ((2**n - 2|f|) / 2**n)**2, exact
+    in a float because W_f(0)**2 <= 2**40."""
     sv = prepare_psi_f(f)
-    out = StateVector(sv.qubit_count, _hadamard_layer(sv.amplitudes, sv.qubit_count), _fresh=True)
-    return float(out.amplitudes[0] ** 2)
+    n = sv.qubit_count
+    amps = sv.amplitudes.copy()
+    for qubit in range(n):
+        _hadamard_in_place(amps, n, qubit)
+    return math.ldexp(int(amps[0]) ** 2, -2 * n)
 
 
 def deutsch_jozsa(f: BooleanFunction) -> tuple[Literal["constant", "balanced"], float]:
@@ -205,7 +199,7 @@ def deutsch_jozsa(f: BooleanFunction) -> tuple[Literal["constant", "balanced"], 
     if classify(f).kind == "neither":
         raise PromiseViolationError("function is neither constant nor balanced")
     p0 = zero_outcome_probability(f)
-    return ("constant" if p0 > 0.5 else "balanced"), p0
+    return ("constant" if p0 == 1.0 else "balanced"), p0
 
 
 def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
@@ -234,8 +228,7 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
         return witness_lookup(f, trace, 1)
     trace.append(TraceStep("deutsch_jozsa", 1, None, "constant"))
     readout = apply_uf(basis_state(f.arity + 1, 0), f, f.arity)
-    p_one = float(readout.amplitudes[1 << f.arity] ** 2)
-    value = 1 if p_one > 0.5 else 0
+    value = int(readout.amplitudes[1 << f.arity] != 0)
     trace.append(
         TraceStep(
             "ancilla_readout", 1,

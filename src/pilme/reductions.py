@@ -129,8 +129,8 @@ def verify_reductions_exhaustive(n: int) -> ReductionReport:
     """Check both reductions against brute-force SAT over every function
     of arity n; a Turing entry also fails on a bogus witness or an oracle
     budget above two calls."""
-    if not 1 <= n <= 3:
-        raise ValueError("exhaustive verification is limited to n <= 3")
+    if not 1 <= n <= 4:
+        raise ValueError("exhaustive verification is limited to n <= 4")
     turing_failures: list[int] = []
     karp_failures: list[int] = []
     total = 1 << (1 << n)

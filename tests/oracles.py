@@ -4,7 +4,6 @@ for the Hadamard gate its full dense matrix, and for the subset-lattice
 transform one numpy XOR per level over an unpacked bit array."""
 
 import itertools
-import math
 
 import numpy as np
 
@@ -198,7 +197,7 @@ def permuted_oracle(amps, table: int, n: int, ancilla: int):
     """|x>|y> -> |x>|y xor f(x)> as an index permutation: entry i reads x
     from the bits of i other than the ancilla, in increasing position
     order, and takes the amplitude at i with the ancilla bit XORed by f(x)."""
-    out = np.empty(len(amps))
+    out = np.empty_like(amps)
     for i in range(len(amps)):
         low = i & ((1 << ancilla) - 1)
         x = low | ((i >> (ancilla + 1)) << ancilla)
@@ -207,9 +206,9 @@ def permuted_oracle(amps, table: int, n: int, ancilla: int):
 
 
 def kron_hadamard(amps, n: int, qubit: int):
-    """Hadamard on one qubit as the full matrix I (x) [[1, 1], [1, -1]] (x) I
-    times the vector, scaled by 2**-0.5.  Every row holds two entries +-1
-    and zeros, so the product is exactly lo + hi or lo - hi."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]])
-    gate = np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), h), np.eye(1 << qubit))
-    return (gate @ amps) * (1.0 / math.sqrt(2.0))
+    """Unscaled Hadamard on one qubit of an integer vector: the full matrix
+    I (x) [[1, 1], [1, -1]] (x) I times the vector, in int64.  The factor
+    2**-0.5 is one more unit of the state's exponent."""
+    low, high = (np.eye(1 << k, dtype=np.int64) for k in (qubit, n - 1 - qubit))
+    gate = np.kron(np.kron(high, np.array([[1, 1], [1, -1]])), low)
+    return gate @ np.asarray(amps, dtype=np.int64)

@@ -133,6 +133,11 @@ def test_criterion_06_turing_reduction_exhaustive():
             "within two oracle calls", ok)
 
 
+def _closed_form_p0(f):
+    """((2**n - 2|f|) / 2**n)**2: 1 when f is constant, 0 when balanced."""
+    return ((f.size - 2 * classify(f).satisfying_count) / f.size) ** 2
+
+
 def test_criterion_07_quantum_pipeline():
     ok = True
     for n in range(1, 4):
@@ -140,17 +145,18 @@ def test_criterion_07_quantum_pipeline():
             f = BooleanFunction(n, table)
             if algorithm1_end_to_end(f).satisfiable != (sat_brute(f) is not None):
                 ok = False
-            if classify(f).kind != "neither":
-                p0 = zero_outcome_probability(f)
-                if abs(p0 - round(p0)) >= 1e-12:
-                    ok = False
+            if zero_outcome_probability(f) != _closed_form_p0(f):
+                ok = False
     for table in range(1 << 16):
         f = BooleanFunction(4, table)
         if signs_from_state(prepare_psi_f(f)) != state_from_function(f):
             ok = False
             break
+        if zero_outcome_probability(f) != _closed_form_p0(f):
+            ok = False
+            break
     _report("criterion 7: simulated pipeline matches brute-force SAT (n<=3); "
-            "prepared signs exact (n<=4); promise probabilities exactly 0/1", ok)
+            "prepared signs and all-zeros probabilities exact (n<=4)", ok)
 
 
 def test_criterion_08_hypergraph_criterion_and_round_trips():

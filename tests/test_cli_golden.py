@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ DIMACS_CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 HEX10 = ["--format", "table-hex", DENSE10, "--n", "10"]
 HEX12 = ["--format", "table-hex", DENSE12, "--n", "12"]
 D1 = ["--format", "table-hex", "d1", "--n", "3"]
-# p0 is printed to 17 digits, so these pin the simulator's float arithmetic:
+# p0 is printed to 17 digits, so these pin that the simulator's p0 is exact:
 # constant 1, and balanced but not affine (the lower half of DENSE10, then
 # its complement; the ANF has degree 8).
 _low10 = bytes.fromhex(DENSE10[:128])
@@ -113,7 +114,7 @@ CASES = [
     (["anf", "--format", "anf", "c 0\n0 30\n"], None),
     (["hypergraph", "--format", "anf", "c 0\n1 1000000000000\n", "--json"], None),
     (["sat-quantum", "x21"], None),
-    # simulator arithmetic: p0 printed to 17 digits
+    # simulator arithmetic: p0 printed to 17 digits, exactly 1 and 0
     (["dj", *ONES10, "--json"], None),
     (["dj", *BALANCED10, "--json"], None),
     (["sat-quantum", *ZEROS12, "--json"], None),
@@ -195,7 +196,7 @@ EXPECTED = [
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 31 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 1000000000001 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 21 exceeds the simulator cap 20\n'),
-    (0, '874ee867e5302f667c365eb8746f647eb1e02c4141b73346a44fc56593d99e0a', ''),
+    (0, '7c4bf621ad0e77d66432b72c6a310b0bcd6c9c96eaada64aa31e37403f6e1ddc', ''),
     (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
     (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 10\n'),
@@ -238,6 +239,12 @@ def test_corpus_covers_every_subcommand():
 def test_cli_output_is_unchanged(index, monkeypatch):
     argv, stdin = CASES[index]
     assert _invoke(argv, stdin, monkeypatch) == EXPECTED[index]
+
+
+def test_readme_library_block_runs():
+    # Run as written, so the documented API cannot drift from the library.
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

@@ -18,7 +18,7 @@ from pilme.hypergraph import (
     parse_anf_text,
     render_anf_text,
 )
-from pilme.lme_state import is_entangled, state_from_function
+from pilme.lme_state import is_osm, state_from_function
 
 from oracles import brute_anf_coefficients, brute_anf_value, coeff_from_edges, product_sign_vectors
 
@@ -108,7 +108,7 @@ def test_edge_criterion_equals_entanglement_exhaustive_n3():
     for n in (2, 3):
         for table in range(1 << (1 << n)):
             f = BooleanFunction(n, table)
-            entangled = is_entangled(state_from_function(f))
+            entangled = not is_osm(state_from_function(f))
             assert entangled == entangling_edge_exists(hypergraph_of(f))
 
 

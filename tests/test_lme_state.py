@@ -14,7 +14,6 @@ from pilme.lme_state import (
     count_osm_states,
     factorize,
     find_certificate,
-    is_entangled,
     is_osm,
     state_from_function,
     verify_certificate,
@@ -247,16 +246,6 @@ def test_count_osm_states_small():
 def test_count_osm_states_rejects_large_n():
     with pytest.raises(ValueError):
         count_osm_states(5)
-
-
-def test_is_entangled_examples():
-    assert is_entangled(GHZ_STATE)
-    assert not is_entangled(BooleanFunction(2, 0))
-
-
-def test_is_entangled_undefined_for_single_qubit():
-    with pytest.raises(ValueError):
-        is_entangled(BooleanFunction(1, 0b10))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -17,11 +18,10 @@ from pilme.boolfn import (
 )
 from pilme.lme_state import state_from_function
 from pilme.quantum_sim import (
-    NORM_TOL,
     SIM_MAX_N,
     PromiseViolationError,
     StateVector,
-    _hadamard_layer,
+    _hadamard_in_place,
     algorithm1_end_to_end,
     apply_hadamard,
     apply_uf,
@@ -59,16 +59,47 @@ def boolean_functions(draw, min_n=1, max_n=10):
 
 
 def test_state_vector_rejects_unnormalized_input():
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        StateVector(2, np.array([1.0, 0.0]))
+    assert StateVector(1, np.array([1, 1]), 1).exponent == 1
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector(1, np.array([1, 1]))
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector(2, np.array([1, -1, 1, 0]), 2)
+    with pytest.raises(ValueError, match="length"):
+        StateVector(2, np.array([1, 0]))
+
+
+def test_state_vector_rejects_float_input():
+    with pytest.raises(ValueError, match="integers"):
+        StateVector(1, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="integers"):
+        StateVector(1, np.array([True, False]))
+
+
+def test_state_vector_rejects_an_exponent_above_the_bound():
+    # |a| <= 2**30 at exponent 60 on one qubit ...
+    assert StateVector(1, np.array([1 << 30, 0]), 60).amplitudes[0] == 1 << 30
+    # ... but exponent + qubit_count above 62 is refused, whatever the vector.
+    with pytest.raises(ValueError, match="exponent"):
+        StateVector(2, np.array([1 << 30, 0, 0, 0]), 61)
+    with pytest.raises(ValueError, match="exponent"):
+        StateVector(1, np.array([1, 0]), -2)
+
+
+def test_state_vector_rejects_amplitudes_whose_squares_wrap_int64():
+    # The squares sum to 2**64 + 2**40, which an int64 sum reads as 2**40.
+    wraps = np.array([-(2**31)] * 4 + [2**20, 0, 0, 0], dtype=np.int32)
+    assert int(np.einsum("i,i->", wraps, wraps, dtype=np.int64)) == 1 << 40
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector(3, wraps, 40)
+    # An int64 entry that int32 cannot hold is refused, not wrapped.
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector(2, np.array([1 << 32, 1 << 20, 0, 0]), 40)
 
 
 def test_state_vector_is_immutable():
     sv = basis_state(2, 1)
     with pytest.raises(ValueError):
-        sv.amplitudes[0] = 1.0
+        sv.amplitudes[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,38 +108,39 @@ def test_state_vector_is_immutable():
 
 def test_apply_uf_fixes_unsatisfying_basis_state():
     out = apply_uf(basis_state(3, 0), AND2, 2)
-    assert out.amplitudes[0] == 1.0
+    assert out.amplitudes[0] == 1
 
 
 def test_apply_uf_flips_ancilla_on_satisfying_input():
     out = apply_uf(basis_state(3, 0b011), AND2, 2)
-    assert out.amplitudes[0b111] == 1.0
+    assert out.amplitudes[0b111] == 1
 
 
 def test_apply_uf_is_an_involution():
     rng = np.random.default_rng(7)
-    raw = rng.standard_normal(8)
-    sv = StateVector(3, raw / np.linalg.norm(raw))
-    back = apply_uf(apply_uf(sv, AND2, 2), AND2, 2)
-    assert np.array_equal(back.amplitudes, sv.amplitudes)
+    for _ in range(8):
+        sv = _random_state(rng, 3)
+        back = apply_uf(apply_uf(sv, AND2, 2), AND2, 2)
+        assert np.array_equal(back.amplitudes, sv.amplitudes)
+        assert back.exponent == sv.exponent
 
 
 def test_apply_uf_respects_ancilla_position():
     # ancilla as qubit 0: |x=3> lives at index 0b110, flip lands on 0b111
     out = apply_uf(basis_state(3, 0b110), AND2, 0)
-    assert out.amplitudes[0b111] == 1.0
+    assert out.amplitudes[0b111] == 1
 
 
 def test_apply_uf_decouples_minus_ancilla():
     n = 2
     dim = 1 << (n + 1)
-    amps = np.where((np.arange(dim) >> n) & 1, -1.0, 1.0) / math.sqrt(dim)
-    out = apply_uf(StateVector(n + 1, amps), AND2, n)
+    amps = np.where((np.arange(dim) >> n) & 1, -1, 1)
+    out = apply_uf(StateVector(n + 1, amps, n + 1), AND2, n)
     lower = out.amplitudes[: dim // 2]
     upper = out.amplitudes[dim // 2 :]
     assert np.array_equal(upper, -lower)
-    expected = np.array([1.0, 1.0, 1.0, -1.0]) / math.sqrt(dim)
-    assert np.array_equal(lower, expected)
+    assert np.array_equal(lower, [1, 1, 1, -1])
+    assert out.exponent == n + 1
 
 
 def test_apply_uf_dimension_checks():
@@ -119,12 +151,24 @@ def test_apply_uf_dimension_checks():
 
 
 # ---------------------------------------------------------------------------
-# gate kernels against the reference matrices, bit for bit
+# gate kernels against the reference matrices, exactly
 
 
 def _random_state(rng, qubit_count):
-    raw = rng.standard_normal(1 << qubit_count)
-    return StateVector(qubit_count, raw / np.linalg.norm(raw))
+    """A random +-1 vector at exponent qubit_count, passed through Hadamards
+    on a random subset of the qubits, so most entries are other integers."""
+    sv = StateVector(qubit_count, rng.choice([-1, 1], 1 << qubit_count), qubit_count)
+    for qubit in rng.permutation(qubit_count)[: rng.integers(qubit_count + 1)]:
+        sv = apply_hadamard(sv, int(qubit))
+    return sv
+
+
+def _assert_same_state(sv, amps, exponent):
+    """sv stands for amps * 2**(-exponent/2): its amplitudes, scaled back up
+    by the halvings its exponent records, equal amps entry for entry."""
+    halvings, odd = divmod(exponent - sv.exponent, 2)
+    assert halvings >= 0 and odd == 0
+    assert np.array_equal(sv.amplitudes.astype(np.int64) << halvings, amps)
 
 
 def test_apply_uf_matches_the_index_permutation_at_every_ancilla_position():
@@ -144,7 +188,16 @@ def test_apply_hadamard_matches_the_kron_matrix_on_every_qubit():
         for qubit in range(n):
             sv = _random_state(rng, n)
             expected = kron_hadamard(sv.amplitudes, n, qubit)
-            assert np.array_equal(apply_hadamard(sv, qubit).amplitudes, expected)
+            _assert_same_state(apply_hadamard(sv, qubit), expected, sv.exponent + 1)
+
+
+def _layer(sv):
+    """The unscaled Hadamard layer zero_outcome_probability runs: one
+    kernel call per qubit, with no halving in between."""
+    amps = sv.amplitudes.copy()
+    for qubit in range(sv.qubit_count):
+        _hadamard_in_place(amps, sv.qubit_count, qubit)
+    return amps
 
 
 def test_hadamard_layer_matches_one_gate_at_a_time():
@@ -154,14 +207,26 @@ def test_hadamard_layer_matches_one_gate_at_a_time():
         expected = sv.amplitudes
         for qubit in range(n):
             expected = kron_hadamard(expected, n, qubit)
-        assert np.array_equal(_hadamard_layer(sv.amplitudes, n), expected)
-    # wider vectors transpose in several 64-row strips, at odd and even n
+        assert np.array_equal(_layer(sv), expected)
     for n in (13, 14, 15):
         sv = _random_state(rng, n)
         expected = sv
         for qubit in range(n):
             expected = apply_hadamard(expected, qubit)
-        assert np.array_equal(_hadamard_layer(sv.amplitudes, n), expected.amplitudes)
+        _assert_same_state(expected, _layer(sv), sv.exponent + n)
+
+
+def test_hadamard_twice_on_every_qubit_returns_the_input():
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 5, 9):
+        for qubit in range(n):
+            sv = _random_state(rng, n)
+            back = apply_hadamard(apply_hadamard(sv, qubit), qubit)
+            assert np.array_equal(back.amplitudes, sv.amplitudes)
+            assert back.exponent == sv.exponent
+        basis = basis_state(n, n - 1)
+        twice = apply_hadamard(apply_hadamard(basis, n - 1), n - 1)
+        assert np.array_equal(twice.amplitudes, basis.amplitudes) and twice.exponent == 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +235,17 @@ def test_hadamard_layer_matches_one_gate_at_a_time():
 
 def test_prepare_constant_zero_is_uniform():
     sv = prepare_psi_f(BooleanFunction(2, 0))
-    assert np.allclose(sv.amplitudes, 0.5, atol=NORM_TOL)
+    assert np.array_equal(sv.amplitudes, [1, 1, 1, 1]) and sv.exponent == 2
 
 
 def test_prepare_parity_signs():
     sv = prepare_psi_f(XOR2)
-    assert np.allclose(sv.amplitudes, [0.5, -0.5, -0.5, 0.5], atol=NORM_TOL)
+    assert np.array_equal(sv.amplitudes, [1, -1, -1, 1]) and sv.exponent == 2
 
 
 def test_prepare_ghz_matches_sign_state():
     sv = prepare_psi_f(GHZ)
-    scale = 1.0 / math.sqrt(8)
-    expected = [-scale, scale, scale, scale, -scale, scale, -scale, -scale]
-    assert np.allclose(sv.amplitudes, expected, atol=NORM_TOL)
+    assert np.array_equal(sv.amplitudes, [-1, 1, 1, 1, -1, 1, -1, -1]) and sv.exponent == 3
     assert signs_from_state(sv) == state_from_function(GHZ)
 
 
@@ -206,6 +269,8 @@ def test_prepare_rejects_arity_above_cap():
 def test_signs_from_state_rejects_non_sign_states():
     with pytest.raises(ValueError):
         signs_from_state(basis_state(2, 0))
+    with pytest.raises(ValueError):
+        signs_from_state(StateVector(2, np.array([0, 1, -1, 0]), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +280,12 @@ def test_signs_from_state_rejects_non_sign_states():
 def test_gates_preserve_norm():
     rng = np.random.default_rng(11)
     for n in (1, 3, 5):
-        raw = rng.standard_normal(1 << (n + 1))
-        sv = StateVector(n + 1, raw / np.linalg.norm(raw))
+        sv = _random_state(rng, n + 1)
         f = BooleanFunction(n, int(rng.integers(0, 1 << (1 << n))))
         sv = apply_uf(sv, f, n)
         for qubit in range(n + 1):
             sv = apply_hadamard(sv, qubit)
-        assert abs(float(sv.amplitudes @ sv.amplitudes) - 1.0) <= NORM_TOL
+        assert sum(int(a) ** 2 for a in sv.amplitudes) == 1 << sv.exponent
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +295,14 @@ def test_gates_preserve_norm():
 def test_dj_constant_one():
     kind, p0 = deutsch_jozsa(BooleanFunction(3, 0xFF))
     assert kind == "constant"
-    assert p0 == zero_outcome_probability(BooleanFunction(3, 0xFF)) == pytest.approx(1.0, abs=NORM_TOL)
+    assert p0 == zero_outcome_probability(BooleanFunction(3, 0xFF)) == 1.0
 
 
 def test_dj_projection_is_balanced():
     f = _fn("x1", 2)
     kind, p0 = deutsch_jozsa(f)
     assert kind == "balanced"
-    assert p0 == zero_outcome_probability(f) == pytest.approx(0.0, abs=NORM_TOL)
+    assert p0 == zero_outcome_probability(f) == 0.0
 
 
 def test_dj_parity_is_balanced():
@@ -254,24 +318,34 @@ def test_dj_probability_is_exact_under_promise():
     for n in range(1, 4):
         for table in range(1 << (1 << n)):
             f = BooleanFunction(n, table)
-            if classify(f).kind == "neither":
+            kind = classify(f).kind
+            if kind == "neither":
                 continue
-            p0 = zero_outcome_probability(f)
-            assert abs(p0 - round(p0)) < 1e-12
+            assert zero_outcome_probability(f) == (0.0 if kind == "balanced" else 1.0)
 
 
 def test_dj_probability_exact_at_larger_sizes():
     balanced = BooleanFunction(10, int("0110100110010110" * 64, 2))
     assert classify(balanced).kind == "balanced"
-    assert abs(zero_outcome_probability(balanced) - 0.0) < 1e-12
-    assert abs(zero_outcome_probability(BooleanFunction(10, 0)) - 1.0) < 1e-12
+    assert zero_outcome_probability(balanced) == 0.0
+    assert zero_outcome_probability(BooleanFunction(10, 0)) == 1.0
+    assert deutsch_jozsa(BooleanFunction(10, (1 << 1024) - 1)) == ("constant", 1.0)
+
+
+def _closed_form(f):
+    """((2**n - 2|f|) / 2**n)**2 as an exact rational."""
+    return Fraction(f.size - 2 * classify(f).satisfying_count, f.size) ** 2
 
 
 @given(boolean_functions(max_n=6))
 def test_dj_probability_matches_closed_form(f):
-    weight = classify(f).satisfying_count
-    expected = (1.0 - 2.0 * weight / f.size) ** 2
-    assert zero_outcome_probability(f) == pytest.approx(expected, abs=1e-12)
+    assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_zero_outcome_probability_is_exact_on_seeded_tables(n):
+    f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+    assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
 
 
 def _cap_table(family):
@@ -293,8 +367,7 @@ def test_prepared_signs_round_trip_at_the_cap():
 @pytest.mark.parametrize("family", ["constant", "balanced", "random"])
 def test_zero_outcome_probability_matches_closed_form_at_the_cap(family):
     f = BooleanFunction(SIM_MAX_N, _cap_table(family))
-    expected = ((f.size - 2 * f.table.bit_count()) / f.size) ** 2
-    assert abs(zero_outcome_probability(f) - expected) <= 2.0**-40
+    assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
 
 
 def test_zero_outcome_probability_peak_memory_stays_near_the_state_size():
@@ -384,8 +457,8 @@ def test_overlap_closed_form_matches_amplitude_dot_product(case):
     a, b = BooleanFunction(n, ta), BooleanFunction(n, tb)
     sva = prepare_psi_f(BooleanFunction(n, ta))
     svb = prepare_psi_f(BooleanFunction(n, tb))
-    direct = float(sva.amplitudes @ svb.amplitudes)
-    assert overlap(a, b) == pytest.approx(direct, abs=1e-12)
+    direct = Fraction(int(sva.amplitudes @ svb.amplitudes), 1 << sva.exponent)
+    assert Fraction(overlap(a, b)) == direct
 
 
 def test_helstrom_identical_states_is_coin_flip():

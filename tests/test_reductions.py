@@ -170,7 +170,7 @@ def test_conjoined_is_never_a_tautology():
 # exhaustive harness
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_reductions_exhaustive(n):
     report = verify_reductions_exhaustive(n)
     assert (report.turing_failures, report.karp_failures) == ([], [])
@@ -185,7 +185,7 @@ def test_verify_reductions_exhaustive(n):
 
 def test_verify_reductions_rejects_large_n():
     with pytest.raises(ValueError):
-        verify_reductions_exhaustive(4)
+        verify_reductions_exhaustive(5)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .boolfn import BooleanFunction, classify
+from .boolfn import _BLOCK_BITS, BooleanFunction, classify
 from .lme_state import is_osm
 from .reductions import SatVerdict, TraceStep, witness_lookup
 
@@ -89,6 +89,25 @@ def _hadamard_in_place(amps: np.ndarray, n: int, qubit: int) -> None:
     total = lo + hi
     np.subtract(lo, hi, out=hi)
     lo[...] = total
+
+
+def _walsh_layer(amps: np.ndarray, n: int) -> None:
+    """Unscaled Hadamard on every qubit of a writable n-qubit int32 vector,
+    in place (the caller adds n to the exponent).  Per 2**18-entry block the
+    upper levels run in place and the lower ones on a transposed copy of at
+    most 1 MiB, so every run is long; then one level per higher qubit."""
+    low = min(n, _BLOCK_BITS)
+    rows, cols = low - low // 2, low // 2
+    for block in amps.reshape(-1, 1 << low):
+        for qubit in range(cols, low):
+            _hadamard_in_place(block, low, qubit)
+        grid = block.reshape(1 << rows, 1 << cols)
+        flipped = grid.T.copy()
+        for qubit in range(rows, low):
+            _hadamard_in_place(flipped, low, qubit)
+        grid[...] = flipped.T
+    for qubit in range(low, n):
+        _hadamard_in_place(amps, n, qubit)
 
 
 def basis_state(qubit_count: int, index: int) -> StateVector:
@@ -176,14 +195,15 @@ def signs_from_state(sv: StateVector) -> BooleanFunction:
 
 def zero_outcome_probability(f: BooleanFunction) -> float:
     """Probability of the all-zeros outcome after a full Hadamard layer on
-    the sign state of f.  The layer leaves the Walsh values W_f at exponent
-    2n, so this is W_f(0)**2 / 2**(2n) = ((2**n - 2|f|) / 2**n)**2, exact
-    in a float because W_f(0)**2 <= 2**40."""
+    the sign state of f.  The layer runs on compile's 2**18-entry blocks,
+    the low half of each block's levels on an in-cache transposed copy, and
+    leaves the Walsh values W_f at exponent 2n.  So this is
+    W_f(0)**2 / 2**(2n) = ((2**n - 2|f|) / 2**n)**2, exact in a float
+    because W_f(0)**2 <= 2**40."""
     sv = prepare_psi_f(f)
     n = sv.qubit_count
     amps = sv.amplitudes.copy()
-    for qubit in range(n):
-        _hadamard_in_place(amps, n, qubit)
+    _walsh_layer(amps, n)
     return math.ldexp(int(amps[0]) ** 2, -2 * n)
 
 

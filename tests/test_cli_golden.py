@@ -2,10 +2,11 @@
 of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
-README examples, dense n=10 and n=12 tables, ANF text input, ANF output at n=20
-and n=22 (above the 2**18-entry block size) and the common error paths,
-among them input above a lowered --max-n.  A refactor of the library must
-leave every row unchanged.
+README examples, dense n=10 and n=12 tables, ANF text input and the
+common error paths, among them input above a lowered --max-n.  Rows above
+the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20
+and `sat-quantum` at n=19 and n=20.  A refactor of the library must leave
+every row unchanged.
 """
 
 import argparse
@@ -130,6 +131,12 @@ CASES = [
     # a dense n=12 hypergraph: about 2,000 edges, so the edge order is pinned
     (["anf", *HEX12], None),
     (["hypergraph", *HEX12, "--json"], None),
+    # the Hadamard layer above the block edge: 2 and 4 blocks, both DJ
+    # outcomes and both sat-quantum endings
+    (["dj", "x1 ^ x20", "--n", "20"], None),
+    (["dj", "x1 | !x1", "--n", "20", "--json"], None),
+    (["sat-quantum", "x19 ^ x20", "--n", "20", "--json"], None),
+    (["sat-quantum", "x1 & !x1", "--n", "19"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -207,6 +214,10 @@ EXPECTED = [
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x5 out of range for arity 4 (at position 0)\n'),
     (0, '2a49b28396974168ebcad200422dcb443c78981a35ec7498860eae667902c7a4', ''),
     (0, '940d62505ba867c31936886d47727b03a1719d7fd9e61459b19056f6b8e5a4b6', ''),
+    (0, 'a00b690153fd7beaa57b30d25f24f923af1917af51d551ef66775e8270d8818f', ''),
+    (0, '8cc12d0d73e96782a70e6f43ae3cac9cd58d2f901a47d2572293225bf2d44d30', ''),
+    (0, '39ca92bf0d8c385a74c744b344b2f4bccf34d820c162b4214c72b1cbc364ceaf', ''),
+    (0, '63cee269b3474816642c16417abf5952527b6a1fe46a931bb1b955f53f9e8f19', ''),
 ]
 
 

@@ -21,7 +21,7 @@ from pilme.quantum_sim import (
     SIM_MAX_N,
     PromiseViolationError,
     StateVector,
-    _hadamard_in_place,
+    _walsh_layer,
     algorithm1_end_to_end,
     apply_hadamard,
     apply_uf,
@@ -192,15 +192,15 @@ def test_apply_hadamard_matches_the_kron_matrix_on_every_qubit():
 
 
 def _layer(sv):
-    """The unscaled Hadamard layer zero_outcome_probability runs: one
-    kernel call per qubit, with no halving in between."""
+    """The unscaled Hadamard layer zero_outcome_probability runs, on a copy."""
     amps = sv.amplitudes.copy()
-    for qubit in range(sv.qubit_count):
-        _hadamard_in_place(amps, sv.qubit_count, qubit)
+    _walsh_layer(amps, sv.qubit_count)
     return amps
 
 
 def test_hadamard_layer_matches_one_gate_at_a_time():
+    # The whole vector, not just the amplitude p0 reads: n = 17..20 cover an
+    # odd split inside the block and 1, 2 and 4 blocks of 2**18 entries.
     rng = np.random.default_rng(63)
     for n in range(1, 7):
         sv = _random_state(rng, n)
@@ -208,12 +208,21 @@ def test_hadamard_layer_matches_one_gate_at_a_time():
         for qubit in range(n):
             expected = kron_hadamard(expected, n, qubit)
         assert np.array_equal(_layer(sv), expected)
-    for n in (13, 14, 15):
+    for n in (17, 18, 19, 20):
         sv = _random_state(rng, n)
         expected = sv
         for qubit in range(n):
             expected = apply_hadamard(expected, qubit)
         _assert_same_state(expected, _layer(sv), sv.exponent + n)
+
+
+def test_hadamard_layer_twice_scales_the_input_by_two_to_the_n():
+    n = SIM_MAX_N
+    amps = np.random.default_rng(65).choice(np.array([-1, 1], dtype=np.int32), 1 << n)
+    twice = amps.copy()
+    _walsh_layer(twice, n)
+    _walsh_layer(twice, n)
+    assert np.array_equal(twice, amps << n)
 
 
 def test_hadamard_twice_on_every_qubit_returns_the_input():
@@ -342,7 +351,7 @@ def test_dj_probability_matches_closed_form(f):
     assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
 
 
-@pytest.mark.parametrize("n", [8, 12, 16, 20])
+@pytest.mark.parametrize("n", [8, 12, 16, 17, 19, 20])
 def test_zero_outcome_probability_is_exact_on_seeded_tables(n):
     f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
     assert Fraction(zero_outcome_probability(f)) == _closed_form(f)

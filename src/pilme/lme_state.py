@@ -155,8 +155,6 @@ def verify_certificate(
 
 def count_osm_states(n: int) -> int:
     """Exhaustively count product sign vectors among all 2**(2**n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > 4:
-        raise ValueError("exhaustive census is limited to n <= 4")
+    if not 1 <= n <= 4:
+        raise ValueError("n must be between 1 and 4")
     return sum(1 for v in range(1 << (1 << n)) if is_osm(BooleanFunction(n, v)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boolfn import _BLOCK_BITS, BooleanFunction, classify
 from .lme_state import is_osm
-from .reductions import SatVerdict, TraceStep, witness_lookup
+from .reductions import SatVerdict, TraceStep
 
 # 2**21 int32 amplitudes (state plus ancilla) is 8 MiB.
 SIM_MAX_N = 20
@@ -229,7 +229,9 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
     the simulated sign pattern (the membership device itself cannot exist
     physically, so the check is classical by necessity), split constant
     from balanced, and finally read the ancilla after one oracle call on
-    the all-zeros input.
+    the all-zeros input.  Like `reductions.turing_reduce_sat`, it ends
+    through `SatVerdict`'s two constructors, whose one `sat_brute` witness
+    lookup is the place a witness search by self-reduction replaces.
     """
     trace: list[TraceStep] = []
     psi = prepare_psi_f(f)
@@ -237,26 +239,17 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
         TraceStep("prepare", 0, None, "oracle applied once to the plus register with a minus ancilla")
     )
     if not is_osm(signs_from_state(psi)):
-        trace.append(TraceStep("product_test", 1, "satisfiable", "simulated state is not a product"))
-        return witness_lookup(f, trace, 1)
+        return SatVerdict.satisfiable_at(f, trace, "product_test", 1, "simulated state is not a product")
     trace.append(
         TraceStep("product_test", 1, None, "simulated state is a product: f is constant or balanced")
     )
     outcome, _ = deutsch_jozsa(f)
     if outcome == "balanced":
-        trace.append(TraceStep("deutsch_jozsa", 1, "satisfiable", "balanced"))
-        return witness_lookup(f, trace, 1)
+        return SatVerdict.satisfiable_at(f, trace, "deutsch_jozsa", 1, "balanced")
     trace.append(TraceStep("deutsch_jozsa", 1, None, "constant"))
     readout = apply_uf(basis_state(f.arity + 1, 0), f, f.arity)
     value = int(readout.amplitudes[1 << f.arity] != 0)
-    trace.append(
-        TraceStep(
-            "ancilla_readout", 1,
-            "satisfiable" if value else "unsatisfiable",
-            f"ancilla reads {value}",
-        )
-    )
-    return SatVerdict(bool(value), 0 if value else None, tuple(trace))
+    return SatVerdict.value_at_zero(trace, "ancilla_readout", 1, value, f"ancilla reads {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ exhaustive harness at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .boolfn import BooleanFunction, conjoin_fresh, evaluate, sat_brute
@@ -33,20 +33,34 @@ class TraceStep:
 @dataclass(frozen=True)
 class SatVerdict:
     """SAT answer with an optional satisfying assignment and the pipeline
-    trace that produced it; a witness, when present, satisfies f."""
+    trace that produced it; a witness, when present, satisfies f.  Both SAT
+    pipelines end through one of the two constructors below."""
 
     satisfiable: bool
     witness: Optional[int]
     trace: tuple[TraceStep, ...]
 
+    @classmethod
+    def satisfiable_at(
+        cls, f: BooleanFunction, trace: list[TraceStep], step: str, calls: int, detail: str
+    ) -> SatVerdict:
+        """Close a pipeline whose `step` found f satisfiable without an
+        assignment: the witness comes from `sat_brute`, here alone, and the
+        trace marks it as oracle-assisted."""
+        trace.append(TraceStep(step, calls, "satisfiable", detail))
+        trace.append(
+            TraceStep("witness_lookup", calls, None, "oracle-assisted: witness found by exhaustive search")
+        )
+        return cls(True, sat_brute(f), tuple(trace))
 
-def witness_lookup(f: BooleanFunction, trace: list[TraceStep], oracle_calls: int) -> SatVerdict:
-    """Close a pipeline that concluded satisfiability without touching an
-    assignment: the witness comes from brute force, and the trace says so."""
-    trace.append(
-        TraceStep("witness_lookup", oracle_calls, None, "oracle-assisted: witness found by exhaustive search")
-    )
-    return SatVerdict(True, sat_brute(f), tuple(trace))
+    @classmethod
+    def value_at_zero(
+        cls, trace: list[TraceStep], step: str, calls: int, value: int, detail: str
+    ) -> SatVerdict:
+        """Close a pipeline that found f constant, by its value at the
+        all-zeros input: a tautology has witness 0, a contradiction none."""
+        trace.append(TraceStep(step, calls, "satisfiable" if value else "unsatisfiable", detail))
+        return cls(bool(value), 0 if value else None, tuple(trace))
 
 
 def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
@@ -58,40 +72,21 @@ def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
     so a second oracle call separates the two cases, and a single point
     evaluation splits tautology from contradiction.
 
-    The pipeline only decides; when satisfiability is concluded without
-    touching an assignment, the witness is filled in by brute force and
-    the trace marks it as oracle-assisted.
+    The pipeline only decides: it ends through `SatVerdict.satisfiable_at`
+    or `SatVerdict.value_at_zero`, and the first takes the witness from
+    `sat_brute`, the one place a witness search by self-reduction replaces.
     """
     trace: list[TraceStep] = []
     if not cosm_star(f):
-        trace.append(
-            TraceStep("oracle_on_f", 1, "satisfiable", "sign state of f is not a product")
+        return SatVerdict.satisfiable_at(f, trace, "oracle_on_f", 1, "sign state of f is not a product")
+    trace.append(TraceStep("oracle_on_f", 1, None, "product state: f is constant or balanced"))
+    if not cosm_star(conjoin_fresh(f, 1)):
+        return SatVerdict.satisfiable_at(
+            f, trace, "oracle_on_conjoined", 2, "conjoined state is not a product, so f is balanced"
         )
-        return witness_lookup(f, trace, 1)
-    trace.append(
-        TraceStep("oracle_on_f", 1, None, "product state: f is constant or balanced")
-    )
-    conjoined = conjoin_fresh(f, 1)
-    if not cosm_star(conjoined):
-        trace.append(
-            TraceStep(
-                "oracle_on_conjoined", 2, "satisfiable",
-                "conjoined state is not a product, so f is balanced",
-            )
-        )
-        return witness_lookup(f, trace, 2)
-    trace.append(
-        TraceStep("oracle_on_conjoined", 2, None, "product state: f is constant")
-    )
+    trace.append(TraceStep("oracle_on_conjoined", 2, None, "product state: f is constant"))
     value = evaluate(f, 0)
-    trace.append(
-        TraceStep(
-            "evaluate_zero", 2,
-            "satisfiable" if value else "unsatisfiable",
-            f"f(0...0) = {value}",
-        )
-    )
-    return SatVerdict(bool(value), 0 if value else None, tuple(trace))
+    return SatVerdict.value_at_zero(trace, "evaluate_zero", 2, value, f"f(0...0) = {value}")
 
 
 def karp_reduce(f: BooleanFunction) -> BooleanFunction:
@@ -117,12 +112,7 @@ class ReductionReport:
     karp_failures: list[int]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "functions": self.functions,
-            "turing_failures": list(self.turing_failures),
-            "karp_failures": list(self.karp_failures),
-        }
+        return asdict(self)
 
 
 def verify_reductions_exhaustive(n: int) -> ReductionReport:
@@ -130,7 +120,7 @@ def verify_reductions_exhaustive(n: int) -> ReductionReport:
     of arity n; a Turing entry also fails on a bogus witness or an oracle
     budget above two calls."""
     if not 1 <= n <= 4:
-        raise ValueError("exhaustive verification is limited to n <= 4")
+        raise ValueError("n must be between 1 and 4")
     turing_failures: list[int] = []
     karp_failures: list[int] = []
     total = 1 << (1 << n)
@@ -138,12 +128,9 @@ def verify_reductions_exhaustive(n: int) -> ReductionReport:
         f = BooleanFunction(n, table)
         expected = sat_brute(f) is not None
         verdict = turing_reduce_sat(f)
-        ok = verdict.satisfiable == expected
-        if ok and verdict.satisfiable:
-            ok = verdict.witness is not None and evaluate(f, verdict.witness) == 1
-        if ok:
-            ok = max(step.oracle_calls for step in verdict.trace) <= 2
-        if not ok:
+        witness_ok = not expected or (verdict.witness is not None and evaluate(f, verdict.witness) == 1)
+        calls = max(step.oracle_calls for step in verdict.trace)
+        if verdict.satisfiable != expected or not witness_ok or calls > 2:
             turing_failures.append(table)
         if (not cosm_star(karp_reduce(f))) != expected:
             karp_failures.append(table)

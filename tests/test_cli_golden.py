@@ -5,8 +5,9 @@ Every subcommand appears in text and --json form, together with the
 README examples, dense n=10 and n=12 tables, ANF text input and the
 common error paths, among them input above a lowered --max-n.  Rows above
 the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20
-and `sat-quantum` at n=19 and n=20.  A refactor of the library must leave
-every row unchanged.
+and `sat-quantum` at n=19 and n=20.  One library digest pins the verdict,
+witness and trace of both SAT pipelines on every function with n <= 3.  A
+refactor of the library must leave every row unchanged.
 """
 
 import argparse
@@ -22,6 +23,9 @@ from pathlib import Path
 import pytest
 
 from pilme import cli
+from pilme.boolfn import BooleanFunction
+from pilme.quantum_sim import algorithm1_end_to_end
+from pilme.reductions import turing_reduce_sat
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -137,6 +141,11 @@ CASES = [
     (["dj", "x1 | !x1", "--n", "20", "--json"], None),
     (["sat-quantum", "x19 ^ x20", "--n", "20", "--json"], None),
     (["sat-quantum", "x1 & !x1", "--n", "19"], None),
+    # the pipeline endings not pinned above: the ancilla reading 1 on a
+    # tautology, and the conjoined-oracle ending in text
+    (["sat-quantum", "x1 | !x1"], None),
+    (["sat-quantum", "x1 | !x1", "--json"], None),
+    (["sat", "x1 ^ x2"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -218,7 +227,14 @@ EXPECTED = [
     (0, '8cc12d0d73e96782a70e6f43ae3cac9cd58d2f901a47d2572293225bf2d44d30', ''),
     (0, '39ca92bf0d8c385a74c744b344b2f4bccf34d820c162b4214c72b1cbc364ceaf', ''),
     (0, '63cee269b3474816642c16417abf5952527b6a1fe46a931bb1b955f53f9e8f19', ''),
+    (0, '6c1de0e93c4b5e1f148d9c2387df0c22981fe8a728424aa7fac856f812a5b170', ''),
+    (0, '3e128e4f2eb663ed1a19c66e5b3eac3c97cb47156b948360f167a759aa7330f3', ''),
+    (0, '15b13c90f45196e066f111ce29d0b31513dffc4de0360c67bea9cdcb9af51f1b', ''),
 ]
+
+# SHA-256 over repr(turing_reduce_sat(f)) then repr(algorithm1_end_to_end(f))
+# for the 276 functions with n <= 3, in order of arity and table.
+PIPELINE_DIGEST = "730e024416315e8e0a9aa8a93a3b1f9282827937bf3f16ede66988f0b174f432"
 
 
 def _invoke(argv, stdin, monkeypatch):
@@ -250,6 +266,16 @@ def test_corpus_covers_every_subcommand():
 def test_cli_output_is_unchanged(index, monkeypatch):
     argv, stdin = CASES[index]
     assert _invoke(argv, stdin, monkeypatch) == EXPECTED[index]
+
+
+def test_pipeline_verdicts_are_unchanged():
+    digest = hashlib.sha256()
+    for n in range(1, 4):
+        for table in range(1 << (1 << n)):
+            f = BooleanFunction(n, table)
+            digest.update(repr(turing_reduce_sat(f)).encode())
+            digest.update(repr(algorithm1_end_to_end(f)).encode())
+    assert digest.hexdigest() == PIPELINE_DIGEST
 
 
 def test_readme_library_block_runs():

@@ -246,6 +246,8 @@ def test_count_osm_states_small():
 def test_count_osm_states_rejects_large_n():
     with pytest.raises(ValueError):
         count_osm_states(5)
+    with pytest.raises(ValueError, match="n must be between 1 and 4"):
+        count_osm_states(0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pilme.boolfn import (
     BooleanFunction,
     classify,
     compile,
+    evaluate,
     from_table_hex,
     parse_formula,
     sat_brute,
@@ -421,6 +422,10 @@ def test_pipeline_matches_brute_force_exhaustive():
             f = BooleanFunction(n, table)
             verdict = algorithm1_end_to_end(f)
             assert verdict.satisfiable == (sat_brute(f) is not None)
+            if verdict.satisfiable:
+                assert evaluate(f, verdict.witness) == 1
+            else:
+                assert verdict.witness is None
 
 
 def test_pipeline_membership_check_happens_once():

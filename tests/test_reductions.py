@@ -186,6 +186,8 @@ def test_verify_reductions_exhaustive(n):
 def test_verify_reductions_rejects_large_n():
     with pytest.raises(ValueError):
         verify_reductions_exhaustive(5)
+    with pytest.raises(ValueError, match="n must be between 1 and 4"):
+        verify_reductions_exhaustive(0)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))

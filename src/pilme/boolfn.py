@@ -4,12 +4,13 @@ A function f on n inputs is stored as a single integer whose bit i is
 f(i); bit k of the index i is the value of variable x_{k+1}, so variable
 indices in formula syntax are 1-based while bit positions are 0-based.
 Packing the whole table into one int keeps classification a popcount and
-turns the subset-lattice transform into a handful of wide XORs.  Formulas
-parse into flat postfix programs, which `compile` runs over packed
-tables, one bit operation per instruction.  Both table-wide passes,
-`compile` and the transform behind `anf`/`from_anf`, work on blocks of
-2**18 entries (the low 18 variables) that share one cached set of
-projection tables; the higher variables index the blocks.
+turns the subset-lattice transform into a handful of wide XORs.  Both
+table-wide passes, `compile` and the transform behind `anf`/`from_anf`,
+work on blocks of 2**18 entries (the low 18 variables) that share one
+cached set of projection tables; the higher variables index the blocks.
+`compile` runs a formula's flat postfix program once, one bit operation
+per instruction: a subterm over the low variables is one block shared by
+all blocks, and each higher variable, all ones or 0 in a block, folds.
 
 Everything here is an immutable value and every operation is a pure
 function, so tables can be shared freely across threads.
@@ -338,8 +339,9 @@ def variable_table(k: int, n: int) -> int:
 
 # Variables per block of `compile` and the Moebius transform.  A 2**18-entry
 # block is a 32 KiB int, so a pass's operands stay in the per-core cache (a
-# whole n = 24 table is 2 MiB).  Smaller blocks multiply the per-operation
-# interpreter cost by the block count for no further cache gain.
+# whole n = 24 table is 2 MiB).  Smaller blocks would put more of `compile`
+# past a higher variable, where it runs per block, and multiply the
+# transform's per-operation interpreter cost by the block count.
 _BLOCK_BITS = 18
 
 
@@ -367,35 +369,50 @@ def _join(blocks: list[int]) -> int:
 
 def _binary_steps(program: Program) -> list[tuple[str, int]]:
     # Rewrite each (op, m) fold as m - 1 binary steps, each right after the
-    # operand it takes in, so a block's value stack holds one running value
-    # per open fold rather than all m operands: a CNF keeps a few 32 KiB
-    # values live instead of one per clause, and they stay in the cache.
-    ends: list[int] = []  # index of the instruction completing each stacked value
-    fold_after: dict[int, str] = {}
-    for j, (op, arg) in enumerate(program):
-        taken = 0 if op in ("var", "const") else arg
-        if op in _FOLD:
-            fold_after.update(dict.fromkeys(ends[len(ends) - taken + 1 :], op))
-        del ends[len(ends) - taken :]
-        ends.append(j)
-    # Two negations in a row cancel, so "!" * 5000 costs nothing per block.
-    steps: list[tuple[str, int]] = []
-    for j, step in enumerate(program):
-        if step[0] == "!" and steps and steps[-1][0] == "!":
-            steps.pop()
-        elif step[0] not in _FOLD:
-            steps.append(step)
-        if j in fold_after:
-            steps.append((fold_after[j], 2))
-    return steps
+    # operand it takes in, so the value stack holds one running value per
+    # open fold, not all m operands.  A fold's operands that read no
+    # variable above x_18 move first, in order: each is one value for every
+    # block, so they combine once.  A stacked entry is a value's steps and
+    # whether it is such a shared value.
+    stack: list[tuple[list[tuple[str, int]], bool]] = []
+    for step in program:
+        op, arg = step
+        if op in ("var", "const"):
+            stack.append(([step], op == "const" or arg < _BLOCK_BITS))
+        elif op == "!":
+            # Two negations in a row cancel, so "!" * 5000 costs nothing.
+            steps = stack[-1][0]
+            if steps[-1][0] == "!":
+                steps.pop()
+            else:
+                steps.append(step)
+        else:
+            operands = stack[-arg:]
+            del stack[-arg:]
+            if op in _FOLD:
+                operands.sort(key=operator.itemgetter(1), reverse=True)
+            steps, shared = operands[0]
+            for more, more_shared in operands[1:]:
+                if len(more) > len(steps):  # copy the shorter list: deep nesting stays cheap
+                    more[:0], steps = steps, more
+                else:
+                    steps += more
+                steps.append((op, 2))
+                shared = shared and more_shared
+            stack.append((steps, shared))
+    return stack[-1][0]
 
 
 def compile(program: Program, arity: int) -> BooleanFunction:
     """Materialize the truth table of a postfix program over the given arity.
 
-    The program runs over packed tables, one bit operation per
-    instruction, not per assignment, and one 2**18-entry block at a time,
-    so the peak memory stays near the table's own size.
+    The program runs once, over packed tables, one bit operation per
+    instruction, not per assignment.  Above 18 variables a value is one
+    2**18-entry block shared by all blocks (built from x_1..x_18 and
+    constants only) or a list of one block per setting of the higher
+    variables, each of which is a list of the shared blocks all ones and 0.
+    Over a list an operand that is all ones, 0 or the other operand folds:
+    x&0 = 0, x&1 = x, x|1 = 1, x|0 = x, x^0 = x, !1 = 0, !0 = 1.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
@@ -403,34 +420,42 @@ def compile(program: Program, arity: int) -> BooleanFunction:
     for op, arg in program:
         if op == "var" and not 0 <= arg < arity:
             raise ValueError(f"variable x{arg + 1} out of range for arity {arity}")
-    # Inside a block x_1..x_low are the shared projection tables and each
-    # higher variable is a constant, all ones or 0 by the block's number.
     low = min(arity, _BLOCK_BITS)
     ones = (1 << (1 << low)) - 1
-    projections = _projections(low)
-    steps = _binary_steps(program)
+    count = 1 << (arity - low)
+    high = ([ones if (j >> s) & 1 else 0 for j in range(count)] for s in range(arity - low))
+    variables = _projections(low) + tuple(high)
+    units = {"&": (ones, 0), "|": (0, ones), "^": (0, None)}  # (identity, absorbing)
 
-    def block(j: int) -> int:
-        variables = projections + tuple(ones if (j >> s) & 1 else 0 for s in range(arity - low))
-        stack: list[int] = []
-        for op, arg in steps:
-            if op == "var":
-                stack.append(variables[arg])
-            elif op == "const":
-                stack.append(ones if arg else 0)
+    def combine(op: str, a, b):
+        if type(a) is int is type(b):
+            return _FOLD[op](a, b)
+        unit, zero = units[op]
+        return [
+            zero if x is zero or y is zero else y if x is unit else x if y is unit
+            else (0 if op == "^" else x) if x is y else _FOLD[op](x, y)
+            for x, y in zip(*(v if type(v) is list else [v] * count for v in (a, b)))
+        ]
+
+    stack: list = []
+    for op, arg in _binary_steps(program):
+        if op == "var":
+            stack.append(variables[arg])
+        elif op == "const":
+            stack.append(ones if arg else 0)
+        else:
+            right = ones if op == "!" else stack.pop()
+            left = stack[-1]
+            if op == "->":
+                op, left = "|", combine("^", left, ones)
+            elif op == "<->":
+                op, right = "^", combine("^", right, ones)
             elif op == "!":
-                stack[-1] ^= ones
-            else:
-                right = stack.pop()
-                if op == "->":
-                    stack[-1] = (ones ^ stack[-1]) | right
-                elif op == "<->":
-                    stack[-1] ^= ones ^ right
-                else:
-                    stack[-1] = _FOLD[op](stack[-1], right)
-        return stack[-1]
-
-    return BooleanFunction(arity, _join([block(j) for j in range(1 << (arity - low))]))
+                op = "^"
+            # Two shared blocks inline: that is every step at 18 variables or fewer.
+            stack[-1] = _FOLD[op](left, right) if type(left) is int is type(right) else combine(op, left, right)
+    top = stack[-1]
+    return BooleanFunction(arity, _join(top if type(top) is list else [top] * count))
 
 
 def evaluate(f: BooleanFunction, assignment: int) -> int:

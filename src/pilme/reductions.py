@@ -117,8 +117,8 @@ class ReductionReport:
 
 def verify_reductions_exhaustive(n: int) -> ReductionReport:
     """Check both reductions against brute-force SAT over every function
-    of arity n; a Turing entry also fails on a bogus witness or an oracle
-    budget above two calls."""
+    of arity n; a Turing entry also fails on a missing or bogus witness (any
+    witness of an unsatisfiable f) or on more than two oracle calls."""
     if not 1 <= n <= 4:
         raise ValueError("n must be between 1 and 4")
     turing_failures: list[int] = []
@@ -128,7 +128,7 @@ def verify_reductions_exhaustive(n: int) -> ReductionReport:
         f = BooleanFunction(n, table)
         expected = sat_brute(f) is not None
         verdict = turing_reduce_sat(f)
-        witness_ok = not expected or (verdict.witness is not None and evaluate(f, verdict.witness) == 1)
+        witness_ok = not expected if verdict.witness is None else evaluate(f, verdict.witness) == 1
         calls = max(step.oracle_calls for step in verdict.trace)
         if verdict.satisfiable != expected or not witness_ok or calls > 2:
             turing_failures.append(table)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -347,6 +348,21 @@ def test_compile_peak_memory_stays_near_the_table_size():
     assert peak <= 4 * table_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_compile_peak_memory_stays_near_the_table_size_at_1000_clauses():
+    # Most clauses read a variable above x18, so the running conjunction
+    # holds one value per block for most of the program.
+    n = 24
+    program = clauses_to_ast(_random_3cnf(random.Random(1000), n, 1000))
+    table_bytes = (1 << n) // 8
+    tracemalloc.start()
+    try:
+        compile(program, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * table_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_compile_cancels_negation_pairs():
     assert _binary_steps(parse_formula("!" * 5000 + "x1", 1)) == [("var", 0)]
     assert _binary_steps(parse_formula("!" * 5001 + "x1", 1)) == [("var", 0), ("!", 1)]
@@ -354,6 +370,60 @@ def test_compile_cancels_negation_pairs():
     for count, core in ((5000, "x1"), (5001, "!x1")):
         long = compile(parse_formula("!" * count + "x1", n), n)
         assert long == compile(parse_formula(core, n), n)
+
+
+def _parity_plus_monomial(rng: random.Random, n: int) -> str:
+    # A parity over x_n and four other variables, XOR one four-literal
+    # monomial over x_{n-1} and three others.
+    parity = [*rng.sample(range(1, n), 4), n]
+    monomial = [*rng.sample(range(1, n - 1), 3), n - 1]
+    literals = [("!" if rng.random() < 0.5 else "") + f"x{v}" for v in monomial]
+    return " ^ ".join(f"x{v}" for v in parity) + " ^ " + " & ".join(literals)
+
+
+# SHA-256 of the packed table bytes of a seeded 3-CNF (3n clauses) and a
+# parity-plus-monomial formula at each arity, recorded when compile still
+# ran the whole program once per block.
+_WIDE_TABLE_DIGESTS = {
+    20: (
+        "c32ba3d3b6e208d8aa4e0f63451ee59d58b203c45129986f5ac93f942c0f3ae3",
+        "2d60b63d476079b92595747a3e0d78fa0f2af709427169fa23b026e4464da42c",
+    ),
+    22: (
+        "7019bb4a1a181b7886f305fb902b3e61304e0ee2b9e81d9a766fe8cd6459a485",
+        "dbfdfd7b0a37de6935f719a2c28cb722689665d0a51ff0201d9585c417d108ea",
+    ),
+    24: (
+        "af0463daa2aa2025f2bf6b9859a2b469b454cffa8d571208a6c55478aa27c4d0",
+        "b185157540d007d0d2b820410a22055e2c4701453575afd186ac9f52ce0823ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_WIDE_TABLE_DIGESTS))
+def test_wide_compiles_match_the_recorded_tables(n):
+    rng = random.Random(1000 + n)
+    programs = (
+        clauses_to_ast(_random_3cnf(rng, n, 3 * n)),
+        parse_formula(_parity_plus_monomial(rng, n), n),
+    )
+    digests = tuple(
+        hashlib.sha256(compile(program, n).table.to_bytes(1 << (n - 3), "little")).hexdigest()
+        for program in programs
+    )
+    assert digests == _WIDE_TABLE_DIGESTS[n]
+
+
+def test_binary_steps_move_shared_operands_first():
+    # Above x18 a chain's operands over x1..x18 move first, in their order;
+    # -> and <-> keep theirs.
+    program = parse_formula("x20 & x1 & (x2 | x19) & !x3", 20)
+    assert _binary_steps(program) == [
+        ("var", 0), ("var", 2), ("!", 1), ("&", 2),
+        ("var", 19), ("&", 2), ("var", 1), ("var", 18), ("|", 2), ("&", 2),
+    ]
+    assert _binary_steps(parse_formula("x20 -> x1", 20)) == [("var", 19), ("var", 0), ("->", 2)]
+    assert _binary_steps(parse_formula("x20 <-> x1", 20)) == [("var", 19), ("var", 0), ("<->", 2)]
 
 
 def test_evaluate_examples():
@@ -526,6 +596,44 @@ def test_small_blocks_run_every_level_and_the_join(n, monkeypatch):
         assert [evaluate(f, p) for p in range(1 << n)] == [
             tree_value(tree, p) for p in range(1 << n)
         ]
+
+
+def _random_tree(rng: random.Random, n: int, depth: int):
+    if depth == 0 or rng.random() < 0.2:
+        return ("var", rng.randrange(n)) if rng.random() < 0.85 else ("const", rng.randrange(2))
+    op = rng.choice(["!", "&", "|", "^", "->", "<->"])
+    if op == "!":
+        return ("!", _random_tree(rng, n, depth - 1))
+    count = 2 if op in ("->", "<->") else rng.randint(2, 4)
+    return (op, *[_random_tree(rng, n, depth - 1) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_small_blocks_fold_high_variables_and_share_low_subterms(n, monkeypatch):
+    # With three-variable blocks, x4..xn index the blocks: each is all ones
+    # or 0 inside one, and anything over x1..x3 is one value for them all.
+    monkeypatch.setattr(boolfn, "_BLOCK_BITS", 3)
+    rng = random.Random(100 + n)
+    hi, hi2, lo, lo2 = ("var", n - 1), ("var", 3), ("var", 0), ("var", 2)
+    trees = [
+        ("|", hi, ("!", hi)),
+        ("&", hi, ("!", hi)),
+        ("^", hi, hi, lo),
+        ("&", hi, lo, ("|", hi2, lo2), lo2, ("^", lo, ("const", 1)), ("!", hi2)),
+        ("|", ("const", 0), hi, ("&", lo, lo2), ("!", ("!", hi2)), ("const", 1)),
+        ("^", ("&", hi, hi2), lo, ("|", lo2, ("const", 0)), hi),
+        ("->", hi, lo),
+        ("->", lo, hi),
+        ("->", hi, ("!", hi)),
+        ("<->", hi, hi2),
+        ("<->", lo, ("!", hi)),
+        ("<->", ("->", hi2, lo2), ("&", lo, hi)),
+    ] + [_random_tree(rng, n, 4) for _ in range(24)]
+    for tree in trees:
+        f = compile(tree_program(tree), n)
+        assert [evaluate(f, p) for p in range(1 << n)] == [
+            tree_value(tree, p) for p in range(1 << n)
+        ], tree
 
 
 def test_projection_tables_are_built_once_per_process(monkeypatch):

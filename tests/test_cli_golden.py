@@ -4,10 +4,11 @@ of a fixed set of invocations, pinned byte for byte.
 Every subcommand appears in text and --json form, together with the
 README examples, dense n=10 and n=12 tables, ANF text input and the
 common error paths, among them input above a lowered --max-n.  Rows above
-the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20
-and `sat-quantum` at n=19 and n=20.  One library digest pins the verdict,
-witness and trace of both SAT pipelines on every function with n <= 3.  A
-refactor of the library must leave every row unchanged.
+the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
+`sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
+and n=24.  One library digest pins the verdict, witness and trace of both
+SAT pipelines on every function with n <= 3.  A refactor of the library
+must leave every row unchanged.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,6 +28,8 @@ from pilme import cli
 from pilme.boolfn import BooleanFunction
 from pilme.quantum_sim import algorithm1_end_to_end
 from pilme.reductions import turing_reduce_sat
+
+from oracles import serialize_dimacs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +55,15 @@ _low10 = bytes.fromhex(DENSE10[:128])
 ONES10 = ["--format", "table-hex", "ff" * 128, "--n", "10"]
 BALANCED10 = ["--format", "table-hex", (_low10 + bytes(b ^ 0xFF for b in _low10)).hex(), "--n", "10"]
 ZEROS12 = ["--format", "table-hex", "00" * 512, "--n", "12"]
+# Above the block edge, compile runs on 16 and 64 blocks: a seeded 3-CNF
+# at clause ratio 4.26, and formulas whose operators each see a variable
+# above x18 on one side or both.
+_rng = random.Random(22)
+CNF22 = serialize_dimacs(
+    22, [[v if _rng.random() < 0.5 else -v for v in _rng.sample(range(1, 23), 3)] for _ in range(94)]
+)
+FORMULA22 = "x1 ^ x9 ^ x19 ^ x22 ^ x2 & x20 & !x21 | (x3 -> x21) & (x18 <-> !x22)"
+FORMULA24 = "x1 ^ x12 ^ x20 ^ x24 ^ x5 & x19 & !x23 | x2 & (x22 <-> x4) & (x24 -> x17) | x23 & !x23"
 
 # (argv, stdin)
 CASES = [
@@ -146,6 +159,13 @@ CASES = [
     (["sat-quantum", "x1 | !x1"], None),
     (["sat-quantum", "x1 | !x1", "--json"], None),
     (["sat", "x1 ^ x2"], None),
+    # formulas and DIMACS compiled above the block edge
+    (["sat", "--format", "dimacs", "-"], CNF22),
+    (["separable", "--format", "dimacs", "-", "--json"], CNF22),
+    (["classify", FORMULA22, "--n", "22"], None),
+    (["classify", FORMULA24, "--n", "24", "--json"], None),
+    (["reduce-karp", FORMULA22, "--n", "22", "--json"], None),
+    (["reduce-karp", FORMULA24, "--n", "24"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -230,6 +250,12 @@ EXPECTED = [
     (0, '6c1de0e93c4b5e1f148d9c2387df0c22981fe8a728424aa7fac856f812a5b170', ''),
     (0, '3e128e4f2eb663ed1a19c66e5b3eac3c97cb47156b948360f167a759aa7330f3', ''),
     (0, '15b13c90f45196e066f111ce29d0b31513dffc4de0360c67bea9cdcb9af51f1b', ''),
+    (0, 'a7a94b7d9767cb70c802d90b8952f0cd425bece62f10e98e0cf4a57f84475e1e', ''),
+    (0, '1b09eeecc380ea57725a09320a2e2a9090235cac3149f068a13dd837fa311ebd', ''),
+    (0, 'ea7e225407b74c5977b6f57b62bb9805ae2f6a4771b1e049194773663f783d66', ''),
+    (0, 'c4b6a2f9f49af36472e921aa78566272eb55b1d61a5c7c44b4839fb9451255db', ''),
+    (0, 'c4593df22596111387e04aba322541d0ccd2b3efa716946bdc666e42d1c6772f', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 24\n'),
 ]
 
 # SHA-256 over repr(turing_reduce_sat(f)) then repr(algorithm1_end_to_end(f))

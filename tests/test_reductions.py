@@ -183,6 +183,18 @@ def test_verify_reductions_exhaustive(n):
     }
 
 
+def test_verify_reductions_fails_a_witness_on_an_unsatisfiable_verdict(monkeypatch):
+    # A pipeline that reports witness 0 for a contradiction is wrong even
+    # though its verdict is right: the harness must name that table.
+    def value_at_zero(cls, trace, step, calls, value, detail):
+        trace.append(reductions.TraceStep(step, calls, "satisfiable" if value else "unsatisfiable", detail))
+        return cls(bool(value), 0, tuple(trace))
+
+    monkeypatch.setattr(reductions.SatVerdict, "value_at_zero", classmethod(value_at_zero))
+    report = verify_reductions_exhaustive(3)
+    assert (report.turing_failures, report.karp_failures) == ([0], [])
+
+
 def test_verify_reductions_rejects_large_n():
     with pytest.raises(ValueError):
         verify_reductions_exhaustive(5)

@@ -2,9 +2,11 @@
 
 Every gate the pipelines need is an amplitude permutation (the bit-flip
 oracle) or a Hadamard, (a, b) -> (a + b, a - b) / sqrt(2).  So a state is
-an int32 vector a with one exponent e, standing for a * 2**(-e/2).  After
-a Hadamard layer a sign state holds the Walsh values of f, and every
-outcome probability is an exact dyadic rational: nothing is rounded.
+an int32 vector a with one exponent e, standing for a * 2**(-e/2), and every
+outcome probability is an exact dyadic rational: nothing is rounded.  The
+all-zeros outcome after a Hadamard layer is read as one amplitude,
+<0...0|H...H|psi> = <+...+|psi>, the scaled sum of the amplitudes, so the
+layer itself never runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .boolfn import _BLOCK_BITS, BooleanFunction, classify
+from .boolfn import BooleanFunction, classify
 from .lme_state import is_osm
 from .reductions import SatVerdict, TraceStep
 
@@ -78,38 +80,6 @@ def _pack_bits(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _hadamard_in_place(amps: np.ndarray, n: int, qubit: int) -> None:
-    """Hadamard on one qubit of a writable n-qubit int32 vector, in place
-    and unscaled: each pair (lo, hi) of amplitudes 2**qubit apart becomes
-    (lo + hi, lo - hi), one butterfly of the fast Walsh-Hadamard transform.
-    The caller adds 1 to the exponent for the factor 2**-0.5.
-    """
-    cube = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    lo, hi = cube[:, 0, :], cube[:, 1, :]
-    total = lo + hi
-    np.subtract(lo, hi, out=hi)
-    lo[...] = total
-
-
-def _walsh_layer(amps: np.ndarray, n: int) -> None:
-    """Unscaled Hadamard on every qubit of a writable n-qubit int32 vector,
-    in place (the caller adds n to the exponent).  Per 2**18-entry block the
-    upper levels run in place and the lower ones on a transposed copy of at
-    most 1 MiB, so every run is long; then one level per higher qubit."""
-    low = min(n, _BLOCK_BITS)
-    rows, cols = low - low // 2, low // 2
-    for block in amps.reshape(-1, 1 << low):
-        for qubit in range(cols, low):
-            _hadamard_in_place(block, low, qubit)
-        grid = block.reshape(1 << rows, 1 << cols)
-        flipped = grid.T.copy()
-        for qubit in range(rows, low):
-            _hadamard_in_place(flipped, low, qubit)
-        grid[...] = flipped.T
-    for qubit in range(low, n):
-        _hadamard_in_place(amps, n, qubit)
-
-
 def basis_state(qubit_count: int, index: int) -> StateVector:
     """Computational basis state |index>."""
     if not 0 <= index < (1 << qubit_count):
@@ -120,14 +90,21 @@ def basis_state(qubit_count: int, index: int) -> StateVector:
 
 
 def apply_hadamard(sv: StateVector, qubit: int) -> StateVector:
-    """Hadamard on one qubit.  The amplitudes are halved while all are even,
-    so the exponent is the least one possible and H twice is the identity
-    on the integers too."""
+    """Hadamard on one qubit, unscaled: each pair (lo, hi) of amplitudes
+    2**qubit apart becomes (lo + hi, lo - hi), one butterfly of the fast
+    Walsh-Hadamard transform, and the exponent grows by 1 for the factor
+    2**-0.5.  The amplitudes are then halved while all are even, so the
+    exponent is the least one possible and H twice is the identity on the
+    integers too."""
     n = sv.qubit_count
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
     amps = sv.amplitudes.copy()
-    _hadamard_in_place(amps, n, qubit)
+    cube = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
+    lo, hi = cube[:, 0, :], cube[:, 1, :]
+    total = lo + hi
+    np.subtract(lo, hi, out=hi)
+    lo[...] = total
     exponent = sv.exponent + 1
     # A normalized vector is never all zero, so this loop ends.
     while not (amps & 1).any():
@@ -195,16 +172,14 @@ def signs_from_state(sv: StateVector) -> BooleanFunction:
 
 def zero_outcome_probability(f: BooleanFunction) -> float:
     """Probability of the all-zeros outcome after a full Hadamard layer on
-    the sign state of f.  The layer runs on compile's 2**18-entry blocks,
-    the low half of each block's levels on an in-cache transposed copy, and
-    leaves the Walsh values W_f at exponent 2n.  So this is
+    the sign state of f.  That amplitude is <+...+|psi_f>, so only it is
+    computed: the sum of the 2**n amplitudes (-1)**f(x) is W_f(0), the
+    layer's unscaled amplitude 0, at exponent 2n.  So this is
     W_f(0)**2 / 2**(2n) = ((2**n - 2|f|) / 2**n)**2, exact in a float
     because W_f(0)**2 <= 2**40."""
     sv = prepare_psi_f(f)
-    n = sv.qubit_count
-    amps = sv.amplitudes.copy()
-    _walsh_layer(amps, n)
-    return math.ldexp(int(amps[0]) ** 2, -2 * n)
+    w = int(sv.amplitudes.sum(dtype=np.int64))
+    return math.ldexp(w * w, -2 * sv.qubit_count)
 
 
 def deutsch_jozsa(f: BooleanFunction) -> tuple[Literal["constant", "balanced"], float]:

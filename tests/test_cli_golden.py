@@ -148,8 +148,8 @@ CASES = [
     # a dense n=12 hypergraph: about 2,000 edges, so the edge order is pinned
     (["anf", *HEX12], None),
     (["hypergraph", *HEX12, "--json"], None),
-    # the Hadamard layer above the block edge: 2 and 4 blocks, both DJ
-    # outcomes and both sat-quantum endings
+    # the simulator at n = 19 and 20: both DJ outcomes read from the
+    # all-zeros amplitude, and both sat-quantum endings
     (["dj", "x1 ^ x20", "--n", "20"], None),
     (["dj", "x1 | !x1", "--n", "20", "--json"], None),
     (["sat-quantum", "x19 ^ x20", "--n", "20", "--json"], None),

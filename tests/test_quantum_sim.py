@@ -22,7 +22,6 @@ from pilme.quantum_sim import (
     SIM_MAX_N,
     PromiseViolationError,
     StateVector,
-    _walsh_layer,
     algorithm1_end_to_end,
     apply_hadamard,
     apply_uf,
@@ -192,40 +191,6 @@ def test_apply_hadamard_matches_the_kron_matrix_on_every_qubit():
             _assert_same_state(apply_hadamard(sv, qubit), expected, sv.exponent + 1)
 
 
-def _layer(sv):
-    """The unscaled Hadamard layer zero_outcome_probability runs, on a copy."""
-    amps = sv.amplitudes.copy()
-    _walsh_layer(amps, sv.qubit_count)
-    return amps
-
-
-def test_hadamard_layer_matches_one_gate_at_a_time():
-    # The whole vector, not just the amplitude p0 reads: n = 17..20 cover an
-    # odd split inside the block and 1, 2 and 4 blocks of 2**18 entries.
-    rng = np.random.default_rng(63)
-    for n in range(1, 7):
-        sv = _random_state(rng, n)
-        expected = sv.amplitudes
-        for qubit in range(n):
-            expected = kron_hadamard(expected, n, qubit)
-        assert np.array_equal(_layer(sv), expected)
-    for n in (17, 18, 19, 20):
-        sv = _random_state(rng, n)
-        expected = sv
-        for qubit in range(n):
-            expected = apply_hadamard(expected, qubit)
-        _assert_same_state(expected, _layer(sv), sv.exponent + n)
-
-
-def test_hadamard_layer_twice_scales_the_input_by_two_to_the_n():
-    n = SIM_MAX_N
-    amps = np.random.default_rng(65).choice(np.array([-1, 1], dtype=np.int32), 1 << n)
-    twice = amps.copy()
-    _walsh_layer(twice, n)
-    _walsh_layer(twice, n)
-    assert np.array_equal(twice, amps << n)
-
-
 def test_hadamard_twice_on_every_qubit_returns_the_input():
     rng = np.random.default_rng(64)
     for n in (1, 2, 5, 9):
@@ -380,16 +345,30 @@ def test_zero_outcome_probability_matches_closed_form_at_the_cap(family):
     assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
 
 
+def test_zero_outcome_probability_matches_the_hadamard_layer_amplitude():
+    # The reference runs the whole layer gate by gate through the public
+    # apply_hadamard and reads its amplitude 0 at its own exponent.
+    rng = random.Random(66)
+    tables = [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(1, 7) for _ in range(4)]
+    tables += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in (17, SIM_MAX_N)]
+    for f in tables:
+        layered = prepare_psi_f(f)
+        for qubit in range(f.arity):
+            layered = apply_hadamard(layered, qubit)
+        a0 = int(layered.amplitudes[0])
+        assert Fraction(zero_outcome_probability(f)) == Fraction(a0**2, 2**layered.exponent)
+
+
 def test_zero_outcome_probability_peak_memory_stays_near_the_state_size():
     f = BooleanFunction(SIM_MAX_N, _cap_table("balanced"))
-    ancilla_state_bytes = 8 << (SIM_MAX_N + 1)
+    ancilla_state_bytes = 4 << (SIM_MAX_N + 1)
     tracemalloc.start()
     try:
         zero_outcome_probability(f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * ancilla_state_bytes, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 3 * ancilla_state_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Literal, Optional
 
 # Cap on arity for table-building operations and the command line's
 # ceiling; a table at n = 24 occupies 2 MiB.
@@ -100,14 +101,26 @@ class Hypergraph:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Each edge as its ascending vertices, ordered by size, then
         lexicographically; decoded from `coeff` once per value."""
-        vertices = range(self.vertex_count)
-        edges = [
-            tuple([v for v in vertices if mask >> v & 1]) for mask in _set_bits(self.coeff) if mask
-        ]
-        # Two stable passes give the (size, vertices) order without a key tuple per edge.
-        edges.sort()
-        edges.sort(key=len)
-        return tuple(edges)
+        # Through a list: a tuple grown from an iterator of unknown length is
+        # reallocated as it grows, which fragments the heap of a long run.
+        return tuple(list(self._decode_edges(_byte_vertices)))
+
+    @cached_property
+    def _edge_masks(self) -> list[int]:
+        # The edge masks in the order of `edges`: within one size, vertex
+        # tuples compare as the masks' binary digits read from bit 0, reversed.
+        masks = _set_bits(self.coeff & ~1)
+        masks.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
+        masks.sort(key=int.bit_count)
+        return masks
+
+    def _decode_edges(self, byte_table: Callable[[int], tuple]) -> Iterator:
+        # Each edge in order as byte_table(0)[b0] + byte_table(1)[b1] + ...
+        # over the bytes of its mask, lowest first, a column of bytes at a time.
+        width = (self.vertex_count + 7) // 8
+        raw = b"".join(map(int.to_bytes, self._edge_masks, repeat(width), repeat("little")))
+        columns = [map(byte_table(k).__getitem__, raw[k::width]) for k in range(width)]
+        return functools.reduce(functools.partial(map, operator.add), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +144,18 @@ def _set_bits(packed: int) -> list[int]:
         out.extend(8 * i + k for k in _BYTE_BITS[raw[i]])
         i = find(1, i + 1)
     return out
+
+
+@functools.cache
+def _byte_vertices(k: int) -> tuple[tuple[int, ...], ...]:
+    # The vertices 8k..8k+7 that each value of byte k of a vertex mask holds.
+    return tuple(tuple(8 * k + j for j in bits) for bits in _BYTE_BITS)
+
+
+@functools.cache
+def _byte_text(k: int) -> tuple[str, ...]:
+    # The same vertices as text, each followed by a space.
+    return tuple("".join(f"{v} " for v in vertices) for vertices in _byte_vertices(k))
 
 
 def pack_bits(positions: Iterable[int], size: int) -> int:

@@ -1,10 +1,11 @@
 """Command line front end: read a Boolean function, run an analysis, emit
 either human-readable text or JSON carrying the same facts.
 
-`load_function` is the one input boundary: it checks --n, --max-n (or
+`_read_input` is the one input boundary: it checks --n, --max-n (or
 PILME_MAX_N) and --format, and refuses an arity above the configured cap
-before any table is built.  Each handler returns its facts, and `run`
-alone prints them.
+before any table is built.  `anf` and `hypergraph` keep ANF text as it
+is, with no table (`load_hypergraph`).  Each handler returns its facts,
+and `run` alone prints them.
 
 Exit codes: 0 success, 1 domain errors (arity and simulator caps,
 promise violations, verification failures), 2 usage and input parse
@@ -23,7 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import boolfn, hypergraph, lme_state, quantum_sim, reductions
-from .boolfn import BooleanFunction, ParseError
+from .boolfn import BooleanFunction, Hypergraph, ParseError
 
 FORMATS = ("formula", "dimacs", "table-hex", "anf")
 
@@ -54,20 +55,26 @@ def _read_source(source: str) -> str:
     return source
 
 
-def load_function(args: argparse.Namespace) -> BooleanFunction:
-    """Check the input options, then parse the input into a truth table.
+def _read_input(args: argparse.Namespace) -> str:
+    """Check the input options, then read the input text.
 
     This is where the configured arity cap applies: every format refuses
     an arity above it before a table is built.  The resolved cap is stored
     back in `args.max_n`.
     """
     args.max_n = max_n = _resolve_max_n(args.max_n)
-    arity = args.n
-    if arity is not None and not 1 <= arity <= max_n:
+    if args.n is not None and not 1 <= args.n <= max_n:
         raise ParseError(f"--n must be between 1 and {max_n}")
-    if args.format == "table-hex" and arity is None:
+    if args.format == "table-hex" and args.n is None:
         raise ParseError("table-hex input requires --n")
-    text = _read_source(args.input)
+    return _read_source(args.input)
+
+
+def load_function(args: argparse.Namespace) -> BooleanFunction:
+    """Parse the input into a truth table."""
+    if args.format == "anf":
+        return boolfn.from_anf(load_hypergraph(args))
+    text, arity, max_n = _read_input(args), args.n, args.max_n
     if args.format == "formula":
         program = boolfn.parse_formula(text, arity or max_n)
         return boolfn.compile(program, arity or max(1, boolfn.max_variable(program)))
@@ -78,9 +85,16 @@ def load_function(args: argparse.Namespace) -> BooleanFunction:
         if var_count > max_n:
             raise ParseError(f"DIMACS arity {var_count} exceeds the configured cap {max_n}")
         return boolfn.compile(boolfn.clauses_to_ast(clauses), var_count)
-    if args.format == "table-hex":
-        return boolfn.from_table_hex(text, arity)
-    return boolfn.from_anf(hypergraph.parse_anf_text(text, arity, max_n=max_n))
+    return boolfn.from_table_hex(text, arity)
+
+
+def load_hypergraph(args: argparse.Namespace) -> Hypergraph:
+    """Parse the input into its hypergraph: ANF text as it stands, with no
+    table built, and every other format through its truth table."""
+    if args.format != "anf":
+        return hypergraph.hypergraph_of(load_function(args))
+    text = _read_input(args)
+    return hypergraph.parse_anf_text(text, args.n, max_n=args.max_n)
 
 
 def _render(facts: dict) -> str:
@@ -140,8 +154,7 @@ def _separable(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
     return _render({"n": f.arity, "osm": cert is None}) + detail + "\n"
 
 
-def _anf(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
-    graph = hypergraph.hypergraph_of(f)
+def _anf(graph: Hypergraph, args: argparse.Namespace) -> dict | str:
     # Only the printed form is built: the text of a dense hypergraph alone
     # costs several times its JSON dict.
     if args.json:
@@ -149,8 +162,7 @@ def _anf(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
     return hypergraph.render_anf_text(graph)
 
 
-def _hypergraph(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
-    graph = hypergraph.hypergraph_of(f)
+def _hypergraph(graph: Hypergraph, args: argparse.Namespace) -> dict | str:
     entangling = {"entangling": hypergraph.entangling_edge_exists(graph)}
     if args.json:
         return {**hypergraph.hypergraph_to_json(graph), **entangling}
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add_input_command(name: str, handler, help_text: str, loader=load_function):
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("input", help="file path, literal text, or '-' for stdin")
         sub.add_argument("--format", "-f", choices=FORMATS, default="formula")
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-n", type=int, default=None,
                          help=f"arity cap, at most {boolfn.MAX_N} (default from PILME_MAX_N or {boolfn.MAX_N})")
         sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, loader=loader)
         return sub
 
     add_input_command("classify", _classify, "constant/balanced/neither and satisfying count")
@@ -245,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="include the amplitude vector in the output")
     add_input_command("separable", _separable,
                       "product membership with decomposition or certificate")
-    add_input_command("anf", _anf, "XOR polynomial of the function")
-    add_input_command("hypergraph", _hypergraph, "hypergraph view and edge criterion")
+    add_input_command("anf", _anf, "XOR polynomial of the function", load_hypergraph)
+    add_input_command("hypergraph", _hypergraph, "hypergraph view and edge criterion", load_hypergraph)
     add_input_command("reduce-karp", _reduce_karp,
                       "conjoin two fresh variables (satisfiable iff the image is entangled)")
     add_input_command("sat", _sat, "SAT via the two-call oracle pipeline")
@@ -277,7 +289,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        facts = args.handler(load_function(args), args) if "input" in args else args.handler(args)
+        facts = args.handler(args.loader(args), args) if "input" in args else args.handler(args)
         if isinstance(facts, str):
             sys.stdout.write(facts)
         else:

@@ -2,9 +2,9 @@
 
 The XOR polynomial of the generating function doubles as a hypergraph
 (one edge per monomial), and a state is entangled exactly when some edge
-couples two or more qubits.  Converting a function to its hypergraph
-goes through the full subset-lattice transform, so the easy edge test
-does not shortcut the hard decision problem.
+couples two or more qubits.  A truth table reaches its hypergraph only
+through the full subset-lattice transform (ANF text is one already), so
+the easy edge test does not shortcut the hard decision problem.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .boolfn import (
     BooleanFunction,
     Hypergraph,
     ParseError,
+    _byte_text,
     anf,
     check_arity,
     pack_bits,
@@ -56,9 +57,9 @@ def hypergraph_of(f: BooleanFunction) -> Hypergraph:
 def render_anf_text(h: Hypergraph) -> str:
     """One header line ``c <0|1>`` then one monomial per line as
     space-separated vertex indices."""
-    lines = [f"c {h.constant_bit}"]
-    lines.extend(" ".join(map(str, edge)) for edge in h.edges)
-    return "\n".join(lines) + "\n"
+    lines = [f"c {h.constant_bit}", *h._decode_edges(_byte_text)]
+    # Each edge's text ends in a space, dropped here in one pass.
+    return ("\n".join(lines) + "\n").replace(" \n", "\n")
 
 
 def parse_anf_text(

@@ -1,12 +1,14 @@
 import argparse
+import hashlib
 import io
 import json
 import math
+import random
 
 import jsonschema
 import pytest
 
-from pilme import cli, quantum_sim
+from pilme import boolfn, cli, hypergraph, quantum_sim
 from pilme.schemas import SCHEMAS
 
 
@@ -307,3 +309,66 @@ def test_run_builds_the_parser_once(capsys, monkeypatch):
         assert cli.run(["classify", "x1 & x2", "--json"]) == 0
     capsys.readouterr()
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# ANF text input: anf and hypergraph print it back with no transform, and the
+# table-reading commands still build the table from it
+
+
+def _sparse_anf(n):
+    """Seeded sparse ANF text over n vertices, the last vertex in use."""
+    rng = random.Random(n)
+    edges = {(n - 1,)}
+    edges |= {tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 5))))) for _ in range(12)}
+    return f"c {n % 2}\n" + "".join(" ".join(map(str, e)) + "\n" for e in sorted(edges))
+
+
+# (exit code, SHA-256 of stdout, stderr) of `<command> --format anf
+# _sparse_anf(n) --n n`, recorded while every subcommand built the table.
+SPARSE_ANF_ANSWERS = {
+    ("state", 1): (0, "b997d7f634a7b20974aaf0c1c80c4f6c5581b1dc84c92fec903e6d32cf72b7f5", ""),
+    ("separable", 1): (0, "ece6419ed067f5b2212b05a6009da362385fff6781d669573bff9b592d9cdcc1", ""),
+    ("sat", 1): (0, "847ff7df84c79c0f1be237a73b1f9cea8665d0faea597b5cf22b705f683df414", ""),
+    ("state", 5): (0, "4d111402fddf66c50d4e678ff9b52b7d8c87c5d7941fb12b72f436b65bbca079", ""),
+    ("separable", 5): (0, "ee8453a51671a30ec339660cff161ef375586655ebfa641ff7f39715345862ca", ""),
+    ("sat", 5): (0, "1d3c19a44b43c781f981ae9b841f612d2e6da14f3a8bdcd4fa542c803ee99a8b", ""),
+    ("state", 16): (0, "66e2193d2dc85ce751fdab20fa13874f5666379df25508e879d41880acec5b78", ""),
+    ("separable", 16): (0, "f9c846bdd41e59fa210efd13cd6c0eb7f1f2792d6cab7ae44e1f0384fa0ff324", ""),
+    ("sat", 16): (0, "e4f98f5a6b2a0f5ae79e6088e97a9b853e77c99de3c4633624a95f3b3b8e72a4", ""),
+    ("state", 20): (0, "678bb3fa55290f008daae2c3abb138badcd7be844a3cea2be7d6c6c986f07a9a", ""),
+    ("separable", 20): (0, "0d37e6f190fdc66ab63c2995ed93b2f915e0e9fd113bb584d880a2bef4c8bf09", ""),
+    ("sat", 20): (0, "e36aab97c123a980cd494eb7d6d1eca9a21f4f19e6358336d527149288a6b082", ""),
+    ("state", 24): (0, "4ff166e9b422c0132fd69b3cd81e11c435744ac895e67019b6d69a067040a700", ""),
+    ("separable", 24): (0, "b759177adc56d6965fa01d54691a85d87d67da32c23428dba6e0cb617a40984d", ""),
+    ("sat", 24): (0, "e48a7a25c155f54efbe1bf3d119ac948e1b8aed87328d1b944b07eeac6ddb258", ""),
+}
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 20, 24])
+def test_anf_and_hypergraph_print_anf_input_without_the_transform(n, capsys, monkeypatch):
+    text = _sparse_anf(n)
+    graph = hypergraph.hypergraph_of(boolfn.from_anf(hypergraph.parse_anf_text(text, n)))
+    facts = hypergraph.hypergraph_to_json(graph)
+    entangling = hypergraph.entangling_edge_exists(graph)
+    expected = {
+        ("anf",): hypergraph.render_anf_text(graph),
+        ("anf", "--json"): json.dumps(facts) + "\n",
+        ("hypergraph",): hypergraph.render_anf_text(graph) + f"entangling: {str(entangling).lower()}\n",
+        ("hypergraph", "--json"): json.dumps({**facts, "entangling": entangling}) + "\n",
+    }
+
+    def refuse(packed, n):
+        raise AssertionError("the subset-lattice transform ran")
+
+    monkeypatch.setattr(boolfn, "_mobius", refuse)
+    for (command, *flags), out in expected.items():
+        assert run_text(capsys, [command, "--format", "anf", text, "--n", str(n), *flags]) == out
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 20, 24])
+def test_table_commands_on_anf_input_print_the_same_answers(n, capsys):
+    for command in ("state", "separable", "sat"):
+        code = cli.run([command, "--format", "anf", _sparse_anf(n), "--n", str(n)])
+        out, err = capsys.readouterr()
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == SPARSE_ANF_ANSWERS[command, n]

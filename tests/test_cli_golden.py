@@ -2,8 +2,9 @@
 of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
-README examples, dense n=10 and n=12 tables, ANF text input and the
-common error paths, among them input above a lowered --max-n.  Rows above
+README examples, dense n=10, n=12 and n=14 tables, ANF text input (up to
+n=24) and the common error paths, among them input above a lowered
+--max-n or PILME_MAX_N.  Rows above
 the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
 `sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
 and n=24.  One library digest pins the verdict, witness and trace of both
@@ -43,10 +44,16 @@ _blocks = [hashlib.sha256(b"pilme golden n=12").digest()]
 while len(_blocks) < 16:
     _blocks.append(hashlib.sha256(_blocks[-1]).digest())
 DENSE12 = b"".join(_blocks).hex()
+# The same for 16384 entries: sixty-four chained blocks.
+_blocks = [hashlib.sha256(b"pilme golden n=14").digest()]
+while len(_blocks) < 64:
+    _blocks.append(hashlib.sha256(_blocks[-1]).digest())
+DENSE14 = b"".join(_blocks).hex()
 
 DIMACS_CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 HEX10 = ["--format", "table-hex", DENSE10, "--n", "10"]
 HEX12 = ["--format", "table-hex", DENSE12, "--n", "12"]
+HEX14 = ["--format", "table-hex", DENSE14, "--n", "14"]
 D1 = ["--format", "table-hex", "d1", "--n", "3"]
 # p0 is printed to 17 digits, so these pin that the simulator's p0 is exact:
 # constant 1, and balanced but not affine (the lower half of DENSE10, then
@@ -64,6 +71,9 @@ CNF22 = serialize_dimacs(
 )
 FORMULA22 = "x1 ^ x9 ^ x19 ^ x22 ^ x2 & x20 & !x21 | (x3 -> x21) & (x18 <-> !x22)"
 FORMULA24 = "x1 ^ x12 ^ x20 ^ x24 ^ x5 & x19 & !x23 | x2 & (x22 <-> x4) & (x24 -> x17) | x23 & !x23"
+# ANF text at n = 24 whose edges reach every byte of a vertex mask, one of
+# them spanning all three, and one edge of size 5 above vertex 15.
+ANF24 = "c 1\n0 23\n16 17 18 19 20\n3 9 21\n22\n5 16 23\n2 7 8 15 16 23\n1 2\n"
 
 # (argv, stdin)
 CASES = [
@@ -166,6 +176,18 @@ CASES = [
     (["classify", FORMULA24, "--n", "24", "--json"], None),
     (["reduce-karp", FORMULA22, "--n", "22", "--json"], None),
     (["reduce-karp", FORMULA24, "--n", "24"], None),
+    # ANF text in, ANF text out at n = 24, with and without edges
+    (["anf", "--format", "anf", ANF24], None),
+    (["hypergraph", "--format", "anf", ANF24, "--json"], None),
+    (["hypergraph", "--format", "anf", ANF24], None),
+    (["anf", "--format", "anf", "c 1", "--n", "24"], None),
+    # a dense n=14 hypergraph: about 8,000 edges in text form
+    (["anf", *HEX14], None),
+    # ANF input refused by the option checks: a vertex beyond --n, empty
+    # input, and --n out of range
+    (["hypergraph", "--format", "anf", "c 0\n0 3\n", "--n", "2"], None),
+    (["anf", "--format", "anf", ""], None),
+    (["hypergraph", "--format", "anf", "c 0\n0 1\n", "--n", "0"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -256,6 +278,25 @@ EXPECTED = [
     (0, 'c4b6a2f9f49af36472e921aa78566272eb55b1d61a5c7c44b4839fb9451255db', ''),
     (0, 'c4593df22596111387e04aba322541d0ccd2b3efa716946bdc666e42d1c6772f', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 24\n'),
+    (0, 'e02614d87727c6f4f397a83df69eaf5dac5190a78706e39a4aebdac31bf62f84', ''),
+    (0, '37676303e116836e565bcc1d926854da24bd45acd0f0a6269982a8ee65c8fe51', ''),
+    (0, 'c1d91674c70b20c2e04d8e2194b99af9d7c05491950fd71252489c0a24eba019', ''),
+    (0, '2801b7e4daf6be82f0891f845777a1f7d0cbaa17163fd1a3074a2b99544c97b1', ''),
+    (0, 'b4c8dc0861b72162177f12bed488165d063517e2ba7ac11b83d71d2e248bf158', ''),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: monomials reach vertex 3, beyond vertex count 2\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: empty input\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: --n must be between 1 and 24\n'),
+]
+
+# Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).
+ENV_CASES = [
+    # the cap from the environment refuses ANF text naming a vertex above it
+    (
+        {"PILME_MAX_N": "3"},
+        ["anf", "--format", "anf", "c 0\n0 5\n"],
+        None,
+        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 6 exceeds the configured cap 3\n'),
+    ),
 ]
 
 # SHA-256 over repr(turing_reduce_sat(f)) then repr(algorithm1_end_to_end(f))
@@ -263,8 +304,10 @@ EXPECTED = [
 PIPELINE_DIGEST = "730e024416315e8e0a9aa8a93a3b1f9282827937bf3f16ede66988f0b174f432"
 
 
-def _invoke(argv, stdin, monkeypatch):
+def _invoke(argv, stdin, monkeypatch, env=None):
     monkeypatch.delenv("PILME_MAX_N", raising=False)
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -292,6 +335,11 @@ def test_corpus_covers_every_subcommand():
 def test_cli_output_is_unchanged(index, monkeypatch):
     argv, stdin = CASES[index]
     assert _invoke(argv, stdin, monkeypatch) == EXPECTED[index]
+
+
+@pytest.mark.parametrize("env, argv, stdin, expected", ENV_CASES)
+def test_cli_output_under_environment_is_unchanged(env, argv, stdin, expected, monkeypatch):
+    assert _invoke(argv, stdin, monkeypatch, env) == expected
 
 
 def test_pipeline_verdicts_are_unchanged():

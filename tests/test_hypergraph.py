@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +22,13 @@ from pilme.hypergraph import (
 )
 from pilme.lme_state import is_osm, state_from_function
 
-from oracles import brute_anf_coefficients, brute_anf_value, coeff_from_edges, product_sign_vectors
+from oracles import (
+    brute_anf_coefficients,
+    brute_anf_value,
+    coeff_from_edges,
+    product_sign_vectors,
+    sorted_edges_of,
+)
 
 
 @st.composite
@@ -191,3 +199,45 @@ def test_json_shape():
         "c": 1,
         "edges": [[0], [1], [0, 1], [1, 2]],
     }
+
+
+# ---------------------------------------------------------------------------
+# edge decoding against a one-bit-at-a-time reference
+
+
+def _reference_text(constant: int, edges) -> str:
+    return "".join([f"c {constant}\n", *(" ".join(map(str, edge)) + "\n" for edge in edges)])
+
+
+def test_edges_and_text_match_the_reference_on_every_coefficient_up_to_n3():
+    for n in range(1, 4):
+        for coeff in range(1 << (1 << n)):
+            h = Hypergraph(n, coeff)
+            expected = sorted_edges_of(coeff, n)
+            assert h.edges == expected
+            assert render_anf_text(h) == _reference_text(coeff & 1, expected)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_edges_and_text_match_the_reference_on_dense_coefficients(n):
+    coeff = random.Random(n).getrandbits(1 << n)
+    h = Hypergraph(n, coeff)
+    expected = sorted_edges_of(coeff, n)
+    assert h.edges == expected
+    assert render_anf_text(h) == _reference_text(coeff & 1, expected)
+
+
+@pytest.mark.parametrize("n, top", [(24, 23), (32, 25)])
+def test_edges_and_text_of_sparse_wide_hypergraphs(n, top):
+    # Reading 2**n coefficients one at a time is out of reach here, so the
+    # reference sorts the generating vertex tuples by (size, vertices).
+    # Vertex `top` is in use; at n = 32 that is above vertex 24 and puts
+    # edges in the fourth byte of the mask, while the coefficient int stays
+    # at 2**26 bits.
+    rng = random.Random(n)
+    edges = {(top,), (0, top), (3, 8, 16, top - 1, top)}
+    edges |= {tuple(sorted(rng.sample(range(top + 1), rng.randint(1, 6)))) for _ in range(40)}
+    h = Hypergraph(n, coeff_from_edges(1, map(frozenset, edges)))
+    expected = tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
+    assert h.edges == expected
+    assert render_anf_text(h) == _reference_text(1, expected)

@@ -16,7 +16,6 @@ from .boolfn import (
     evaluate,
     from_anf,
     from_table_hex,
-    parse_dimacs,
     parse_dimacs_clauses,
     parse_formula,
     sat_brute,
@@ -44,7 +43,6 @@ from .quantum_sim import (
     PromiseViolationError,
     StateVector,
     algorithm1_end_to_end,
-    apply_hadamard,
     apply_uf,
     basis_state,
     deutsch_jozsa,

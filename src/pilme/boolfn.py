@@ -341,13 +341,6 @@ def clauses_to_ast(clauses: list[list[int]]) -> Program:
     return tuple(program)
 
 
-def parse_dimacs(text: str) -> Program:
-    """Parse DIMACS CNF into a postfix program (arity is the declared
-    count, recoverable via parse_dimacs_clauses)."""
-    _, clauses = parse_dimacs_clauses(text)
-    return clauses_to_ast(clauses)
-
-
 # ---------------------------------------------------------------------------
 # Table construction and queries
 

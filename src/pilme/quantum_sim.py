@@ -1,18 +1,21 @@
 """Exact integer statevector simulation of the oracle circuits.
 
-Every gate the pipelines need is an amplitude permutation (the bit-flip
-oracle) or a Hadamard, (a, b) -> (a + b, a - b) / sqrt(2).  So a state is
-an int32 vector a with one exponent e, standing for a * 2**(-e/2), and every
-outcome probability is an exact dyadic rational: nothing is rounded.  The
-all-zeros outcome after a Hadamard layer is read as one amplitude,
-<0...0|H...H|psi> = <+...+|psi>, the scaled sum of the amplitudes, so the
-layer itself never runs.
+The one gate the pipelines apply is the bit-flip oracle U_f, an amplitude
+permutation, so a state is an int32 vector a with one exponent e, standing
+for a * 2**(-e/2), and every outcome probability is an exact dyadic
+rational: nothing is rounded.  The all-zeros outcome after a Hadamard
+layer is read as one amplitude, <0...0|H...H|psi> = <+...+|psi>, the
+scaled sum of the amplitudes, so the layer itself never runs.
+
+A `StateVector` built by a caller is checked once, as it is constructed;
+the arrays this module allocates itself are normalized by construction
+and are wrapped without a check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -23,10 +26,9 @@ from .reductions import SatVerdict, TraceStep
 
 # 2**21 int32 amplitudes (state plus ancilla) is 8 MiB.
 SIM_MAX_N = 20
-# The bound on exponent + qubit_count.  With every |a| <= 2**(e/2), which
-# is checked on outside input (this module's own arrays hold it by
-# construction), the int64 sum of squares cannot wrap, and a butterfly sum
-# fits in int32.
+# The bound on exponent + qubit_count for a vector built by a caller.  With
+# every |a| <= 2**(e/2), which is checked first, the int64 sum of squares
+# that checks the norm cannot wrap.
 _MAX_SCALE = 62
 
 
@@ -40,33 +42,41 @@ class StateVector:
     states, held as int32 amplitudes whose squares sum to 2**exponent.
 
     Instances are immutable; gate application returns a new vector.  The
-    amplitudes are copied unless `_fresh` is set, which this module does
-    only for an int32 array it has just allocated and hands over.
+    constructor copies the amplitudes and checks the shape, the dtype, the
+    exponent, the amplitude range and the norm.
     """
 
     qubit_count: int
     amplitudes: np.ndarray
     exponent: int = 0
-    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _fresh: bool) -> None:
+    def __post_init__(self) -> None:
         n, e = self.qubit_count, self.exponent
         if n < 1:
             raise ValueError("qubit_count must be at least 1")
         if not 0 <= e <= _MAX_SCALE - n:
             raise ValueError(f"exponent must be between 0 and {_MAX_SCALE - n} at {n} qubits")
-        amps = self.amplitudes if _fresh else np.array(self.amplitudes)
+        amps = np.array(self.amplitudes)
         if amps.shape != (1 << n,):
             raise ValueError("amplitude vector has the wrong length")
         if amps.dtype.kind not in "iu":
             raise ValueError("amplitudes must be integers")
         bound = math.isqrt(1 << e)
-        in_range = _fresh or -bound <= amps.min() and amps.max() <= bound
+        in_range = -bound <= amps.min() and amps.max() <= bound
         amps = amps.astype(np.int32, copy=False)
         if not in_range or int(np.einsum("i,i->", amps, amps, dtype=np.int64)) != 1 << e:
             raise ValueError("state vector is not normalized")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _built(qubit_count: int, amps: np.ndarray, exponent: int) -> StateVector:
+    """Wrap an int32 array this module has just allocated, normalized by
+    construction, as a read-only state without the constructor's checks."""
+    amps.flags.writeable = False
+    sv = object.__new__(StateVector)
+    vars(sv).update(qubit_count=qubit_count, amplitudes=amps, exponent=exponent)
+    return sv
 
 
 def _bit_array(packed: int, count: int) -> np.ndarray:
@@ -82,35 +92,13 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 def basis_state(qubit_count: int, index: int) -> StateVector:
     """Computational basis state |index>."""
+    if qubit_count < 1:
+        raise ValueError("qubit_count must be at least 1")
     if not 0 <= index < (1 << qubit_count):
         raise ValueError("basis index out of range")
     amps = np.zeros(1 << qubit_count, dtype=np.int32)
     amps[index] = 1
-    return StateVector(qubit_count, amps, _fresh=True)
-
-
-def apply_hadamard(sv: StateVector, qubit: int) -> StateVector:
-    """Hadamard on one qubit, unscaled: each pair (lo, hi) of amplitudes
-    2**qubit apart becomes (lo + hi, lo - hi), one butterfly of the fast
-    Walsh-Hadamard transform, and the exponent grows by 1 for the factor
-    2**-0.5.  The amplitudes are then halved while all are even, so the
-    exponent is the least one possible and H twice is the identity on the
-    integers too."""
-    n = sv.qubit_count
-    if not 0 <= qubit < n:
-        raise ValueError("qubit index out of range")
-    amps = sv.amplitudes.copy()
-    cube = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    lo, hi = cube[:, 0, :], cube[:, 1, :]
-    total = lo + hi
-    np.subtract(lo, hi, out=hi)
-    lo[...] = total
-    exponent = sv.exponent + 1
-    # A normalized vector is never all zero, so this loop ends.
-    while not (amps & 1).any():
-        amps >>= 1
-        exponent -= 2
-    return StateVector(n, amps, exponent, _fresh=True)
+    return _built(qubit_count, amps, 0)
 
 
 def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVector:
@@ -138,7 +126,7 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
     after = amps.reshape(shape)
     np.bitwise_xor(before[:, 0, :], swap, out=after[:, 0, :])
     np.bitwise_xor(before[:, 1, :], swap, out=after[:, 1, :])
-    return StateVector(n + 1, amps, sv.exponent, _fresh=True)
+    return _built(n + 1, amps, sv.exponent)
 
 
 def prepare_psi_f(f: BooleanFunction) -> StateVector:
@@ -155,11 +143,11 @@ def prepare_psi_f(f: BooleanFunction) -> StateVector:
     half = 1 << n
     amps = np.ones(2 * half, dtype=np.int32)
     amps[half:] = -1
-    after = apply_uf(StateVector(n + 1, amps, n + 1, _fresh=True), f, n)
+    after = apply_uf(_built(n + 1, amps, n + 1), f, n)
     lower = after.amplitudes[:half]
     if not np.array_equal(after.amplitudes[half:], -lower):
         raise RuntimeError("ancilla failed to decouple")
-    return StateVector(n, lower.copy(), n, _fresh=True)
+    return _built(n, lower.copy(), n)
 
 
 def signs_from_state(sv: StateVector) -> BooleanFunction:
@@ -206,7 +194,7 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
     from balanced, and finally read the ancilla after one oracle call on
     the all-zeros input.  Like `reductions.turing_reduce_sat`, it ends
     through `SatVerdict`'s two constructors, whose one `sat_brute` witness
-    lookup is the place a witness search by self-reduction replaces.
+    lookup ROADMAP item 3 replaces with one read off the oracle's evidence.
     """
     trace: list[TraceStep] = []
     psi = prepare_psi_f(f)
@@ -242,8 +230,7 @@ def overlap(a: BooleanFunction, b: BooleanFunction) -> float:
 def helstrom_error(a: BooleanFunction, b: BooleanFunction) -> float:
     """Minimum one-shot error probability for discriminating two equally
     likely pure states: (1 - sqrt(1 - overlap**2)) / 2."""
-    ov = overlap(a, b)
-    return 0.5 * (1.0 - math.sqrt(1.0 - ov * ov))
+    return helstrom_error_copies(a, b, 1)
 
 
 def helstrom_error_copies(a: BooleanFunction, b: BooleanFunction, copies: int) -> float:

@@ -74,7 +74,8 @@ def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
 
     The pipeline only decides: it ends through `SatVerdict.satisfiable_at`
     or `SatVerdict.value_at_zero`, and the first takes the witness from
-    `sat_brute`, the one place a witness search by self-reduction replaces.
+    `sat_brute`: ROADMAP item 3 replaces that one lookup with a witness
+    read off the membership test's own evidence.
     """
     trace: list[TraceStep] = []
     if not cosm_star(f):

@@ -1,11 +1,16 @@
 """Brute-force reference implementations, kept deliberately independent of
 the library's packed-int tricks and array kernels: plain per-index loops,
 for the Hadamard gate its full dense matrix, and for the subset-lattice
-transform one numpy XOR per level over an unpacked bit array."""
+transform one numpy XOR per level over an unpacked bit array.
+`apply_hadamard` is the exception: the butterfly form of the gate, which no
+circuit of the simulator runs; the dense matrix checks it, and it checks
+the one amplitude the Deutsch-Jozsa readout reads."""
 
 import itertools
 
 import numpy as np
+
+from pilme.quantum_sim import StateVector
 
 
 def brute_anf_coefficients(table: int, n: int) -> int:
@@ -212,3 +217,27 @@ def kron_hadamard(amps, n: int, qubit: int):
     low, high = (np.eye(1 << k, dtype=np.int64) for k in (qubit, n - 1 - qubit))
     gate = np.kron(np.kron(high, np.array([[1, 1], [1, -1]])), low)
     return gate @ np.asarray(amps, dtype=np.int64)
+
+
+def apply_hadamard(sv: StateVector, qubit: int) -> StateVector:
+    """Hadamard on one qubit, unscaled: each pair (lo, hi) of amplitudes
+    2**qubit apart becomes (lo + hi, lo - hi), one butterfly of the fast
+    Walsh-Hadamard transform, and the exponent grows by 1 for the factor
+    2**-0.5.  The amplitudes are then halved while all are even, so the
+    exponent is the least one possible and H twice is the identity on the
+    integers too."""
+    n = sv.qubit_count
+    if not 0 <= qubit < n:
+        raise ValueError("qubit index out of range")
+    amps = sv.amplitudes.copy()
+    cube = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
+    lo, hi = cube[:, 0, :], cube[:, 1, :]
+    total = lo + hi
+    np.subtract(lo, hi, out=hi)
+    lo[...] = total
+    exponent = sv.exponent + 1
+    # A normalized vector is never all zero, so this loop ends.
+    while not (amps & 1).any():
+        amps >>= 1
+        exponent -= 2
+    return StateVector(n, amps, exponent)

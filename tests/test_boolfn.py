@@ -22,7 +22,6 @@ from pilme.boolfn import (
     from_anf,
     from_table_hex,
     max_variable,
-    parse_dimacs,
     parse_dimacs_clauses,
     parse_formula,
     sat_brute,
@@ -181,26 +180,28 @@ def test_rendered_random_trees_parse_back_and_compile_pointwise(case):
 
 
 def test_dimacs_single_clause():
-    assert parse_dimacs("p cnf 2 1\n1 2 0") == (("var", 0), ("var", 1), ("|", 2))
+    program = clauses_to_ast(parse_dimacs_clauses("p cnf 2 1\n1 2 0")[1])
+    assert program == (("var", 0), ("var", 1), ("|", 2))
 
 
 def test_dimacs_contradiction():
-    assert parse_dimacs("p cnf 1 2\n1 0\n-1 0") == (("var", 0), ("var", 0), ("!", 1), ("&", 2))
+    program = clauses_to_ast(parse_dimacs_clauses("p cnf 1 2\n1 0\n-1 0")[1])
+    assert program == (("var", 0), ("var", 0), ("!", 1), ("&", 2))
 
 
 def test_dimacs_literal_out_of_range():
     with pytest.raises(ParseError):
-        parse_dimacs("p cnf 2 1\n3 0")
+        clauses_to_ast(parse_dimacs_clauses("p cnf 2 1\n3 0")[1])
 
 
 def test_dimacs_missing_terminator():
     with pytest.raises(ParseError):
-        parse_dimacs("p cnf 2 1\n1 2")
+        clauses_to_ast(parse_dimacs_clauses("p cnf 2 1\n1 2")[1])
 
 
 def test_dimacs_missing_header():
     with pytest.raises(ParseError):
-        parse_dimacs("1 2 0")
+        clauses_to_ast(parse_dimacs_clauses("1 2 0")[1])
 
 
 def test_dimacs_comments_and_multiline_clauses():
@@ -211,12 +212,12 @@ def test_dimacs_comments_and_multiline_clauses():
 
 
 def test_dimacs_empty_clause_is_constant_false():
-    f = compile(parse_dimacs("p cnf 2 1\n0"), 2)
+    f = compile(clauses_to_ast(parse_dimacs_clauses("p cnf 2 1\n0")[1]), 2)
     assert f.table == 0
 
 
 def test_dimacs_no_clauses_is_constant_true():
-    f = compile(parse_dimacs("p cnf 2 0\n"), 2)
+    f = compile(clauses_to_ast(parse_dimacs_clauses("p cnf 2 0\n")[1]), 2)
     assert f.table == 0b1111
 
 
@@ -244,7 +245,8 @@ def test_dimacs_serialize_parse_round_trip(case):
     var_count, clauses = case
     text = serialize_dimacs(var_count, clauses)
     assert parse_dimacs_clauses(text) == (var_count, clauses)
-    assert parse_dimacs(text) == clauses_to_ast(clauses) == tree_program(cnf_tree(clauses))
+    program = clauses_to_ast(parse_dimacs_clauses(text)[1])
+    assert program == clauses_to_ast(clauses) == tree_program(cnf_tree(clauses))
 
 
 # ---------------------------------------------------------------------------

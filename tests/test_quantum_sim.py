@@ -17,13 +17,13 @@ from pilme.boolfn import (
     parse_formula,
     sat_brute,
 )
+from pilme import quantum_sim
 from pilme.lme_state import state_from_function
 from pilme.quantum_sim import (
     SIM_MAX_N,
     PromiseViolationError,
     StateVector,
     algorithm1_end_to_end,
-    apply_hadamard,
     apply_uf,
     basis_state,
     deutsch_jozsa,
@@ -36,7 +36,7 @@ from pilme.quantum_sim import (
     zero_outcome_probability,
 )
 
-from oracles import kron_hadamard, permuted_oracle
+from oracles import apply_hadamard, kron_hadamard, permuted_oracle
 
 
 def _fn(text, arity):
@@ -100,6 +100,72 @@ def test_state_vector_is_immutable():
     sv = basis_state(2, 1)
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 1
+
+
+def test_basis_state_rejects_a_register_without_qubits():
+    with pytest.raises(ValueError, match="at least 1"):
+        basis_state(0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        basis_state(2, 4)
+
+
+# ---------------------------------------------------------------------------
+# states the module builds itself, which skip the constructor's checks
+
+
+def _assert_well_formed(sv):
+    amps = sv.amplitudes
+    assert amps.dtype == np.int32
+    assert amps.shape == (1 << sv.qubit_count,)
+    assert not amps.flags.writeable
+    assert int(amps.astype(np.int64) @ amps) == 1 << sv.exponent
+
+
+def _built_state_tables(max_exhaustive_n):
+    """Every table up to max_exhaustive_n, and one seeded table each at
+    n = 12 and 20."""
+    for n in range(1, max_exhaustive_n + 1):
+        for table in range(1 << (1 << n)):
+            yield BooleanFunction(n, table)
+    for n in (12, SIM_MAX_N):
+        yield BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+
+
+def test_every_state_prepare_psi_f_builds_is_normalized_and_read_only(monkeypatch):
+    # prepare_psi_f hands apply_uf its start vector and gets the oracle
+    # output back; recording both catches the two states it never returns.
+    oracle_states = []
+    real_apply_uf = quantum_sim.apply_uf
+
+    def recording_apply_uf(sv, f, ancilla_index):
+        out = real_apply_uf(sv, f, ancilla_index)
+        oracle_states.extend((sv, out))
+        return out
+
+    monkeypatch.setattr(quantum_sim, "apply_uf", recording_apply_uf)
+    for f in _built_state_tables(4):
+        n = f.arity
+        oracle_states.clear()
+        psi = prepare_psi_f(f)
+        start, after = oracle_states
+        assert (start.qubit_count, start.exponent) == (n + 1, n + 1)
+        assert (after.qubit_count, after.exponent) == (n + 1, n + 1)
+        assert (psi.qubit_count, psi.exponent) == (n, n)
+        for sv in (start, after, psi):
+            _assert_well_formed(sv)
+
+
+def test_basis_states_and_oracle_outputs_are_normalized_and_read_only():
+    for n in range(1, 5):
+        for index in range(1 << n):
+            _assert_well_formed(basis_state(n, index))
+    for f in _built_state_tables(3):
+        n = f.arity
+        for ancilla in range(n + 1):
+            basis = basis_state(n + 1, (f.table + ancilla) % (1 << (n + 1)))
+            flipped = apply_uf(basis, f, ancilla)
+            for sv in (basis, flipped, apply_uf(flipped, f, ancilla)):
+                _assert_well_formed(sv)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +412,7 @@ def test_zero_outcome_probability_matches_closed_form_at_the_cap(family):
 
 
 def test_zero_outcome_probability_matches_the_hadamard_layer_amplitude():
-    # The reference runs the whole layer gate by gate through the public
+    # The reference runs the whole layer gate by gate through the butterfly
     # apply_hadamard and reads its amplitude 0 at its own exponent.
     rng = random.Random(66)
     tables = [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(1, 7) for _ in range(4)]

@@ -3,8 +3,11 @@ of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
 README examples, dense n=10, n=12 and n=14 tables, ANF text input (up to
-n=24) and the common error paths, among them input above a lowered
---max-n or PILME_MAX_N.  Rows above
+n=24, dense at n=12) and the common error paths, among them input above
+a lowered --max-n or PILME_MAX_N.  ANF text rows pin which error wins
+when several lines are faulty, vertices spelled in other ways that `int`
+reads (`007`, `+3`, `1_0`), other separators (tab, CRLF, form feed) and
+a 5,000-digit vertex.  Rows above
 the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
 `sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
 and n=24.  One library digest pins the verdict, witness and trace of both
@@ -74,6 +77,14 @@ FORMULA24 = "x1 ^ x12 ^ x20 ^ x24 ^ x5 & x19 & !x23 | x2 & (x22 <-> x4) & (x24 -
 # ANF text at n = 24 whose edges reach every byte of a vertex mask, one of
 # them spanning all three, and one edge of size 5 above vertex 15.
 ANF24 = "c 1\n0 23\n16 17 18 19 20\n3 9 21\n22\n5 16 23\n2 7 8 15 16 23\n1 2\n"
+# Dense ANF text at n = 12: a seeded half of all 4,095 monomials, in a
+# shuffled line order, so the parser's output order is pinned too.
+_rng = random.Random(12)
+_masks = [m for m in range(1, 1 << 12) if _rng.getrandbits(1)]
+_rng.shuffle(_masks)
+ANF12 = "c 0\n" + "".join(" ".join(str(v) for v in range(12) if m >> v & 1) + "\n" for m in _masks)
+# A vertex written with 5,000 digits, beyond Python's int conversion limit.
+HUGE_VERTEX = "9" * 5000
 
 # (argv, stdin)
 CASES = [
@@ -188,6 +199,37 @@ CASES = [
     (["hypergraph", "--format", "anf", "c 0\n0 3\n", "--n", "2"], None),
     (["anf", "--format", "anf", ""], None),
     (["hypergraph", "--format", "anf", "c 0\n0 1\n", "--n", "0"], None),
+    # dense ANF text in, both commands
+    (["anf", "--format", "anf", ANF12], None),
+    (["hypergraph", "--format", "anf", ANF12, "--json"], None),
+    # ANF text with several faults: the first faulty line wins, and within a
+    # line a bad token beats a negative vertex, which beats a repeat
+    (["anf", "--format", "anf", "c 0\n0 1\n1 0\n2 x\n"], None),
+    (["anf", "--format", "anf", "c 0\n0 2\n3 x\n2 0\n"], None),
+    (["anf", "--format", "anf", "c 0\n1 2\n-4 3 3\n"], None),
+    (["anf", "--format", "anf", "c 0\n3 3 -4\n"], None),
+    (["anf", "--format", "anf", "c 0\n-1 x\n"], None),
+    (["anf", "--format", "anf", "c 0\n2 2\n0 30\n"], None),
+    (["anf", "--format", "anf", "c 0\n0 30\n1 y\n"], None),
+    (["anf", "--format", "anf", "c 0\n1 1000000000000\n2 1\n1 2\n"], None),
+    (["hypergraph", "--format", "anf", "c 0\n0 40\n40 0\n", "--json"], None),
+    (["anf", "--format", "anf", "c 0\n7 1\n007 1\n"], None),
+    (["anf", "--format", "anf", "c 0\n1 +1\n"], None),
+    # non-canonical spellings of valid vertices, and other line separators
+    (["anf", "--format", "anf", "c 0\n007 1\n+3\n1_0 2\n-0 4\n"], None),
+    (["hypergraph", "--format", "anf", "c\t1\n0\t2\n1 \t 3\n", "--json"], None),
+    (["anf", "--format", "anf", "c 1\r\n0 1\r\n2\r\n"], None),
+    (["anf", "--format", "anf", "c 0\n0\f1 2\n"], None),
+    (["anf", "--format", "anf", "c 0\n٣ 1\n"], None),
+    (["anf", "--format", "anf", "c 0\n05 1\n", "--n", "3"], None),
+    # a vertex at the cap and beyond it, at 24 and at --max-n 10
+    (["hypergraph", "--format", "anf", "c 1\n23\n0 23\n", "--json"], None),
+    (["anf", "--format", "anf", "c 0\n24\n"], None),
+    (["anf", "--format", "anf", "c 0\n9\n", "--max-n", "10"], None),
+    (["anf", "--format", "anf", "c 0\n0 10\n", "--max-n", "10"], None),
+    # a 5,000-digit vertex, alone and after a valid line
+    (["anf", "--format", "anf", f"c 0\n{HUGE_VERTEX}\n"], None),
+    (["hypergraph", "--format", "anf", f"c 0\n1 2\n{HUGE_VERTEX} 1 1\n", "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -286,6 +328,31 @@ EXPECTED = [
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: monomials reach vertex 3, beyond vertex count 2\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: empty input\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: --n must be between 1 and 24\n'),
+    (0, '72d7c8df3d2355f669b639cb118bbc5199d61080425626f511e0514fab71eee9', ''),
+    (0, '9eab2a8f5118075f67a7a564b843bfce3597240989af30973861980a65c2d20a', ''),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: duplicate monomial '1 0'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: bad monomial line '3 x'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: negative vertex in '-4 3 3'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: negative vertex in '3 3 -4'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: bad monomial line '-1 x'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: repeated vertex in monomial '2 2'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: bad monomial line '1 y'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: duplicate monomial '1 2'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: duplicate monomial '40 0'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: duplicate monomial '007 1'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: repeated vertex in monomial '1 +1'\n"),
+    (0, 'c16696ba41d45aeb390f1b828d9a8cd7b77e0070739d3f52ddf5c105351bb26f', ''),
+    (0, '9f8e23c45cd0e1200ac64a8b4173dc3876d95fa6c2bce4db3563090386764c24', ''),
+    (0, '7bf8b295f775122d7eefa44d9383b890533c501e7ed36bd24f90afb8d7345676', ''),
+    (0, '695d62e930641d9dba943d3c196cfbb709b3349382557a837428906dfb48fca4', ''),
+    (0, '28bd796afcea1c90208295ca70a1a56e34b83321bb5721afd3bf7b0164760614', ''),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: monomials reach vertex 5, beyond vertex count 3\n'),
+    (0, '9e8b25b7631c068841293857ae78122508e092dd3b61965ef13857f8475bdde5', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
+    (0, '70d03055faff0aed8e16168e6fa8fac59242cc70a16fe6e0d88aaeee021b5486', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 11 exceeds the configured cap 10\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX}'\n"),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX} 1 1'\n"),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).

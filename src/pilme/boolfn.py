@@ -21,6 +21,8 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -107,9 +109,17 @@ class Hypergraph:
 
     @cached_property
     def _edge_masks(self) -> list[int]:
-        # The edge masks in the order of `edges`: within one size, vertex
-        # tuples compare as the masks' binary digits read from bit 0, reversed.
-        masks = _set_bits(self.coeff & ~1)
+        # The edge masks in the order of `edges`.  A dense coefficient keeps
+        # the set ones of every possible mask, read in that order from one
+        # flag byte per coefficient bit; a sparse or wide one sorts its set
+        # bits, where within one size vertex tuples compare as the masks'
+        # binary digits read from bit 0, reversed.
+        n, coeff = self.vertex_count, self.coeff & ~1
+        if n <= _ORDER_MAX_N and coeff.bit_count() * 8 >= 1 << n:
+            # Byte m of flags is bit m of coeff: its binary digits, lowest first.
+            flags = f"{coeff:0{1 << n}b}"[::-1].encode().translate(_DIGIT_FLAGS)
+            return list(filter(flags.__getitem__, _edge_order(n)))
+        masks = _set_bits(coeff)
         masks.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
         masks.sort(key=int.bit_count)
         return masks
@@ -144,6 +154,36 @@ def _set_bits(packed: int) -> list[int]:
         out.extend(8 * i + k for k in _BYTE_BITS[raw[i]])
         i = find(1, i + 1)
     return out
+
+
+# Dense edge listing keeps an order table for arities up to 16, whose
+# masks fit 16-bit lanes: 128 KiB at n = 16.
+_ORDER_MAX_N = 16
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+@functools.cache
+def _edge_order(n: int) -> array:
+    """Every edge mask over n <= 16 vertices, by size, then by its vertex
+    tuple; built in O(2**n) without sorting."""
+    # Tuple order puts the edges through vertex 0 first, so over one more
+    # vertex the size-s masks are 1 | m << 1 for the size-(s - 1) masks m,
+    # then m << 1 for the size-s ones.  Each size's masks are kept as the
+    # little-endian 16-bit lanes of one bytes object; read as one int, a
+    # shift or an OR acts on every lane at once.
+    by_size = [b"\0\0"]  # over no vertex: the empty mask
+    for _ in range(n):
+        through_first, others = [b""], []
+        for lanes in by_size:
+            doubled = int.from_bytes(lanes, "little") << 1
+            ones = int.from_bytes(b"\1\0" * (len(lanes) // 2), "little")
+            through_first.append((doubled | ones).to_bytes(len(lanes), "little"))
+            others.append(doubled.to_bytes(len(lanes), "little"))
+        by_size = list(map(operator.add, through_first, others + [b""]))
+    order = array("H", b"".join(by_size[1:]))
+    if sys.byteorder == "big":
+        order.byteswap()
+    return order
 
 
 @functools.cache

@@ -155,8 +155,8 @@ def _separable(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
 
 
 def _anf(graph: Hypergraph, args: argparse.Namespace) -> dict | str:
-    # Only the printed form is built: the text of a dense hypergraph alone
-    # costs several times its JSON dict.
+    # Only the printed form is built: for a dense hypergraph either one
+    # costs several times the edge listing they share.
     if args.json:
         return hypergraph.hypergraph_to_json(graph)
     return hypergraph.render_anf_text(graph)

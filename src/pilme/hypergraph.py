@@ -5,6 +5,14 @@ The XOR polynomial of the generating function doubles as a hypergraph
 couples two or more qubits.  A truth table reaches its hypergraph only
 through the full subset-lattice transform (ANF text is one already), so
 the easy edge test does not shortcut the hard decision problem.
+
+Both text and JSON list the edges by size, then lexicographically
+(`Hypergraph.edges`): a dense coefficient is read through a table of
+every edge mask in that order, any other one sorts its set bits.
+`parse_anf_text` maps each vertex token written the way
+`render_anf_text` writes it to its mask bit through one dict; input with
+any other spelling, or with a fault, is read line by line, so the first
+faulty line decides the error.
 """
 
 from __future__ import annotations
@@ -62,24 +70,32 @@ def render_anf_text(h: Hypergraph) -> str:
     return ("\n".join(lines) + "\n").replace(" \n", "\n")
 
 
-def parse_anf_text(
-    text: str, vertex_count: Optional[int] = None, max_n: int = MAX_N
-) -> Hypergraph:
-    """Parse the text format back into a hypergraph.
+# Each vertex token as `render_anf_text` writes it, to its bit in an edge mask.
+_VERTEX_BITS = {str(v): 1 << v for v in range(MAX_N)}
 
-    The format does not carry the vertex count; it is inferred as one past
-    the largest mentioned vertex unless given explicitly (required for
-    edge-free input).  A vertex count above `max_n` is refused before the
-    coefficients are packed.
-    """
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty input")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "c" or header[1] not in ("0", "1"):
-        raise ParseError(f"expected 'c 0' or 'c 1' header, got {lines[0]!r}")
+
+def _canonical_masks(lines: list[str]) -> Optional[list[int]]:
+    # The edge masks of monomial lines whose every token is in _VERTEX_BITS,
+    # none repeated within a line and no line repeating another; None for
+    # any other input, which _checked_edges then reads line by line.
+    rows = [line.split() for line in lines]
+    try:
+        masks = [sum(map(_VERTEX_BITS.__getitem__, row)) for row in rows]
+    except KeyError:
+        return None
+    # A repeated vertex carries into a higher bit, so its line's mask has
+    # fewer set bits than the line has tokens.
+    if sum(map(int.bit_count, masks)) != sum(map(len, rows)) or len(set(masks)) != len(masks):
+        return None
+    return masks
+
+
+def _checked_edges(lines: list[str]) -> set[frozenset[int]]:
+    # Every monomial line's vertices, any spelling `int` reads; the first
+    # faulty line raises, checked for a bad token, then a negative vertex,
+    # then a repeated vertex, then a repeated monomial.
     edges: set[frozenset[int]] = set()
-    for line in lines[1:]:
+    for line in lines:
         try:
             vertices = [int(token) for token in line.split()]
         except ValueError:
@@ -92,7 +108,33 @@ def parse_anf_text(
         if edge in edges:
             raise ParseError(f"duplicate monomial {line!r}")
         edges.add(edge)
-    inferred = 1 + max((max(edge) for edge in edges), default=-1)
+    return edges
+
+
+def parse_anf_text(
+    text: str, vertex_count: Optional[int] = None, max_n: int = MAX_N
+) -> Hypergraph:
+    """Parse the text format back into a hypergraph.
+
+    The format does not carry the vertex count; it is inferred as one past
+    the largest mentioned vertex unless given explicitly (required for
+    edge-free input).  A vertex count above `max_n` is refused before the
+    coefficients are packed.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if not lines:
+        raise ParseError("empty input")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "c" or header[1] not in ("0", "1"):
+        raise ParseError(f"expected 'c 0' or 'c 1' header, got {lines[0]!r}")
+    masks = _canonical_masks(lines[1:])
+    if masks is not None:
+        inferred = max(masks, default=0).bit_length()
+    else:
+        edges = _checked_edges(lines[1:])
+        inferred = 1 + max(map(max, edges), default=-1)
+        # Shifted only while packing, after the cap check below.
+        masks = (sum(1 << v for v in edge) for edge in edges)
     if vertex_count is None:
         if inferred == 0:
             raise ParseError("vertex count cannot be inferred from an edge-free input")
@@ -102,7 +144,6 @@ def parse_anf_text(
             f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}"
         )
     check_arity(vertex_count, max_n)
-    masks = [sum(1 << v for v in edge) for edge in edges]
     return Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
 
 

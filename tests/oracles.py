@@ -53,8 +53,11 @@ def coeff_from_edges(constant: int, edges) -> int:
 def sorted_edges_of(coeff: int, n: int) -> tuple:
     """The edges of a coefficient int, read one bit at a time, as vertex
     tuples sorted by (size, vertices)."""
+    # Bit s read from its byte, not as (coeff >> s) & 1: each read is then
+    # O(1), not a shift of the whole 2**n-bit int.
+    raw = coeff.to_bytes((1 << n) // 8 + 1, "little")
     edges = [
-        tuple(v for v in range(n) if (s >> v) & 1) for s in range(1, 1 << n) if (coeff >> s) & 1
+        tuple(v for v in range(n) if (s >> v) & 1) for s in range(1, 1 << n) if raw[s >> 3] >> (s & 7) & 1
     ]
     return tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
 

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pilme import boolfn
 from pilme.boolfn import (
     BooleanFunction,
     ParseError,
@@ -227,13 +229,18 @@ def test_edges_and_text_match_the_reference_on_dense_coefficients(n):
     assert render_anf_text(h) == _reference_text(coeff & 1, expected)
 
 
+def _refuse(*args):
+    raise AssertionError("this way of listing edges must not run here")
+
+
 @pytest.mark.parametrize("n, top", [(24, 23), (32, 25)])
-def test_edges_and_text_of_sparse_wide_hypergraphs(n, top):
+def test_edges_and_text_of_sparse_wide_hypergraphs(n, top, monkeypatch):
     # Reading 2**n coefficients one at a time is out of reach here, so the
     # reference sorts the generating vertex tuples by (size, vertices).
     # Vertex `top` is in use; at n = 32 that is above vertex 24 and puts
     # edges in the fourth byte of the mask, while the coefficient int stays
-    # at 2**26 bits.
+    # at 2**26 bits.  No order table exists at these arities.
+    monkeypatch.setattr(boolfn, "_edge_order", _refuse)
     rng = random.Random(n)
     edges = {(top,), (0, top), (3, 8, 16, top - 1, top)}
     edges |= {tuple(sorted(rng.sample(range(top + 1), rng.randint(1, 6)))) for _ in range(40)}
@@ -241,3 +248,74 @@ def test_edges_and_text_of_sparse_wide_hypergraphs(n, top):
     expected = tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
     assert h.edges == expected
     assert render_anf_text(h) == _reference_text(1, expected)
+
+
+# ---------------------------------------------------------------------------
+# both ways of listing edges: a dense coefficient read through the order
+# table, any other one by sorting its set bits
+
+
+def _first_dense_edge_count(n: int) -> int:
+    # The fewest edges `Hypergraph._edge_masks` lists through the order
+    # table: one per 8 coefficient bits.
+    return -(-(1 << n) // 8)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_both_edge_listings_match_the_reference(n, monkeypatch):
+    rng = random.Random(n)
+    switch = _first_dense_edge_count(n)
+    below = sum(1 << m for m in rng.sample(range(1, 1 << n), switch - 1)) | 1
+    at = sum(1 << m for m in rng.sample(range(1, 1 << n), switch))
+    cases = [
+        (below, "_edge_order"),  # sorted: the order table must not be built
+        (at, "_set_bits"),  # read through the table: nothing is sorted
+        (1, None),  # constant only
+        (1 << rng.randrange(1, 1 << n), None),  # a single edge
+        ((1 << (1 << n)) - 1, None),  # every edge
+    ]
+    for coeff, unused in cases:
+        h = Hypergraph(n, coeff)
+        expected = sorted_edges_of(coeff, n)
+        with monkeypatch.context() as patch:
+            if unused:
+                patch.setattr(boolfn, unused, _refuse)
+            assert h.edges == expected
+            assert render_anf_text(h) == _reference_text(coeff & 1, expected)
+            assert hypergraph_to_json(h) == {"n": n, "c": coeff & 1, "edges": list(map(list, expected))}
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_dense_listing_sorts_nothing(n, monkeypatch):
+    monkeypatch.setattr(boolfn, "_set_bits", _refuse)
+    h = Hypergraph(n, random.Random(n).getrandbits(1 << n))
+    assert len(h.edges) == (h.coeff >> 1).bit_count()
+    assert parse_anf_text(render_anf_text(h)) == h
+
+
+def test_dense_listing_above_n16_sorts(monkeypatch):
+    # The order table exists only up to n = 16, whose masks fit 16 bits.
+    monkeypatch.setattr(boolfn, "_edge_order", _refuse)
+    h = Hypergraph(17, random.Random(17).getrandbits(1 << 17))
+    assert len(h.edges) == (h.coeff >> 1).bit_count()
+    assert list(h.edges) == sorted(h.edges, key=lambda edge: (len(edge), edge))
+
+
+def test_the_order_table_lists_every_edge_by_size_then_vertices():
+    for n in range(1, 13):
+        def key(mask):
+            return mask.bit_count(), tuple(v for v in range(n) if mask >> v & 1)
+
+        assert list(boolfn._edge_order(n)) == sorted(range(1, 1 << n), key=key)
+
+
+def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte():
+    boolfn._edge_order.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(1, 17):
+            boolfn._edge_order(n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1 << 20

@@ -3,17 +3,19 @@
 The harness reaches pilme through module attributes and wraps every
 public function in spans, so renaming or deleting a function it calls
 would otherwise first show up as a failed benchmark run.  These tests
-import its operation and tracing modules from the checkout, unchanged,
-and run them on narrow inputs.
+import its operation, tracing, input and checking modules from the
+checkout, unchanged, and run them on narrow inputs.
 """
 
 import importlib
+import random
 from pathlib import Path
 
 import pytest
 
 import pilme
 import pilme.cli
+from pilme import schemas
 from pilme.boolfn import BooleanFunction, classify, sat_brute, to_table_hex
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -61,3 +63,31 @@ def test_traced_cli_runs_keep_the_paper_s_oracle_counts(perfbench):
     sat = tracer.descendant_counts("reductions.turing_reduce_sat", "reductions.cosm_star")
     assert dj and set(dj.values()) == {1}
     assert sat and max(sat.values()) <= 2
+
+
+def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
+    # The harness's own inputs, expected answers and output checker, on
+    # every command and output form of the hypergraph workload, on dense
+    # and sparse hypergraphs, so both ways of listing edges run.
+    ops, _ = perfbench
+    workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
+    checker = checks.CliChecker(schemas.SCHEMAS)
+    rng = random.Random(18)
+    slot_id = 0
+    for n in (4, 8, 10, 12):
+        for family in ("dense-anf", "dense-hex", "sparse"):
+            # The facts drawn for `state` hold the truth table as well, so
+            # they answer every command.
+            item = workloads._hypergraph_input(rng, n, family, "state")
+            for cmd in ("anf", "hypergraph", "state", "separable"):
+                for as_json in (False, True):
+                    if as_json and (n, family) == (12, "dense-hex") and cmd in ("anf", "hypergraph"):
+                        # As in the workload's round, these are read as text:
+                        # schema-checking a 2,000-edge document takes ~0.15 s,
+                        # and the dense-anf documents at n = 12 cover the form.
+                        continue
+                    slot = {"n": n, "family": family, "cmd": cmd, "json": as_json, **item}
+                    rc, out, err = ops.run_cli(pilme.cli, ops.cli_argv(slot))
+                    verdict = checker.check(slot_id, slot, rc, out, err)
+                    assert verdict == ("ok", ""), (n, family, cmd, as_json)
+                    slot_id += 1

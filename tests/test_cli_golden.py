@@ -11,14 +11,16 @@ a 5,000-digit vertex.  Rows above
 the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
 `sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
 and n=24.  One library digest pins the verdict, witness and trace of both
-SAT pipelines on every function with n <= 3.  A refactor of the library
-must leave every row unchanged.
+SAT pipelines on every function with n <= 3, and another pins the
+published JSON schemas.  A refactor of the library must leave every row
+unchanged.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import re
@@ -32,6 +34,7 @@ from pilme import cli
 from pilme.boolfn import BooleanFunction
 from pilme.quantum_sim import algorithm1_end_to_end
 from pilme.reductions import turing_reduce_sat
+from pilme.schemas import SCHEMAS
 
 from oracles import serialize_dimacs
 
@@ -370,6 +373,10 @@ ENV_CASES = [
 # for the 276 functions with n <= 3, in order of arity and table.
 PIPELINE_DIGEST = "730e024416315e8e0a9aa8a93a3b1f9282827937bf3f16ede66988f0b174f432"
 
+# SHA-256 over json.dumps(SCHEMAS, sort_keys=True): the published shape of
+# every --json document.
+SCHEMAS_DIGEST = "8470bf9a75f67b416259667aa8495ae4f6cc94ea6952cd12ddad814ba9ee75ed"
+
 
 def _invoke(argv, stdin, monkeypatch, env=None):
     monkeypatch.delenv("PILME_MAX_N", raising=False)
@@ -385,11 +392,12 @@ def _invoke(argv, stdin, monkeypatch, env=None):
 def test_corpus_covers_every_subcommand():
     # The subcommands come from the parser itself, so a new one fails here
     # until the corpus pins it; one that reads input needs a text and a
-    # --json row.
+    # --json row, and every one needs a published schema.
     assert len(EXPECTED) == len(CASES)
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {argv[0] for argv, _ in CASES} == set(subparsers.choices)
+    assert set(SCHEMAS) == set(subparsers.choices)
     for name, sub in subparsers.choices.items():
         if any(action.dest == "input" for action in sub._actions):
             forms = {"--json" in argv for argv, _ in CASES if argv[0] == name}
@@ -417,6 +425,11 @@ def test_pipeline_verdicts_are_unchanged():
             digest.update(repr(turing_reduce_sat(f)).encode())
             digest.update(repr(algorithm1_end_to_end(f)).encode())
     assert digest.hexdigest() == PIPELINE_DIGEST
+
+
+def test_published_schemas_are_unchanged():
+    digest = hashlib.sha256(json.dumps(SCHEMAS, sort_keys=True).encode())
+    assert digest.hexdigest() == SCHEMAS_DIGEST
 
 
 def test_readme_library_block_runs():

@@ -7,9 +7,7 @@ approaches the coin-flip value 1/2.  The last column shows the gap
 normalized by 2**(-n/2), the rate at which it actually decays.
 """
 
-import math
-
-from pilme.quantum_sim import helstrom_error, overlap, unique_sat_pair
+from pilme.quantum_sim import helstrom_error, helstrom_error_copies, overlap, unique_sat_pair
 
 
 def main() -> None:
@@ -27,9 +25,7 @@ def main() -> None:
     print("copies needed to beat the single-shot wall at n=12:")
     a, b = unique_sat_pair(12)
     for c in copies:
-        ov = overlap(a, b) ** c
-        err = 0.5 * (1 - math.sqrt(1 - ov * ov))
-        print(f"  {c:>5} copies: P_err = {err:.6f}")
+        print(f"  {c:>5} copies: P_err = {helstrom_error_copies(a, b, c):.6f}")
 
 
 if __name__ == "__main__":

@@ -44,15 +44,18 @@ def _resolve_max_n(value: Optional[int]) -> int:
 
 
 def _read_source(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    if os.path.exists(source):
-        try:
-            with open(source, encoding="utf-8") as handle:
-                return handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source!r}: {exc.strerror}") from None
-    return source
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        if not os.path.exists(source):
+            return source
+        with open(source, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {source!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"cannot read {source!r}: byte 0x{byte:02x} at offset {exc.start} is not UTF-8") from None
 
 
 def _read_input(args: argparse.Namespace) -> str:

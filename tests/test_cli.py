@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -196,6 +200,30 @@ def test_file_input(capsys, tmp_path):
 def test_directory_input_is_a_one_line_input_error(capsys, tmp_path):
     assert cli.run(["classify", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
+
+
+def test_undecodable_file_is_a_one_line_input_error(capsys, tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"x1 & x2\n\xff\xfe x1\n")
+    assert cli.run(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {str(path)!r}: byte 0xff at offset 8 is not UTF-8\n"
+    )
+
+
+def test_undecodable_stdin_is_a_one_line_input_error():
+    # A strict stdin decoder raises where the read happens, as it does under
+    # a UTF-8 locale without surrogateescape.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pilme", "classify", "-"],
+        input=b"\xff",
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
+        capture_output=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: cannot read '-': byte 0xff at offset 0 is not UTF-8\n"
 
 
 def test_formula_arity_inferred_from_variables(capsys):

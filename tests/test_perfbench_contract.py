@@ -11,6 +11,7 @@ import importlib
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pilme
@@ -91,3 +92,33 @@ def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
                     verdict = checker.check(slot_id, slot, rc, out, err)
                     assert verdict == ("ok", ""), (n, family, cmd, as_json)
                     slot_id += 1
+
+
+def test_the_checker_passes_every_json_output_of_the_other_rounds(perfbench):
+    # The wide-sat and simulate rounds run every command with --json, the
+    # only form the checker reads for them; run each command and family of
+    # those rounds at narrow arities, from the harness's own generators.
+    ops, _ = perfbench
+    workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
+    checker = checks.CliChecker(schemas.SCHEMAS)
+    rng, builders = random.Random(20), {}
+    nrng = np.random.default_rng(20)
+    slots = []
+    for n in (4, 6, 8):
+        for family in ("planted", "unit", "random", "flip", "parity", "product"):
+            for cmd in ("sat", "separable", "reduce-karp", "classify"):
+                item = workloads._wide_sat_input(rng, n, family, cmd, builders)
+                slots.append({"n": n, "family": family, "cmd": cmd, "json": True, **item})
+        simulated = [(fam, cmd) for fam in ("const0", "const1", "parity", "balanced")
+                     for cmd in ("dj", "sat-quantum")] + [("random", "sat-quantum")]
+        for family, cmd in simulated:
+            item = workloads._simulate_input(rng, nrng, n, family)
+            slots.append({"n": n, "family": family, "cmd": cmd, "json": True, **item})
+    for n in (2, 10):
+        slots.append({"n": n, "family": "pair", "cmd": "helstrom", "json": True,
+                      **workloads._helstrom_input(n)})
+    assert len(slots) == 101
+    for slot_id, slot in enumerate(slots):
+        rc, out, err = ops.run_cli(pilme.cli, ops.cli_argv(slot))
+        verdict = checker.check(slot_id, slot, rc, out, err)
+        assert verdict == ("ok", ""), (slot["n"], slot["family"], slot["cmd"])

@@ -54,8 +54,7 @@ def _read_source(source: str) -> str:
     except OSError as exc:
         raise ParseError(f"cannot read {source!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ParseError(f"cannot read {source!r}: byte 0x{byte:02x} at offset {exc.start} is not UTF-8") from None
+        raise ParseError(f"cannot read {source!r}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _read_input(args: argparse.Namespace) -> str:

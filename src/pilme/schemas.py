@@ -1,12 +1,10 @@
 """JSON schemas for the machine-readable output of every CLI subcommand.
 
 Keyed by subcommand name; validated in the test suite so the published
-shapes and the emitted documents cannot drift apart.
-
-Every document, and every object inside one, is a closed record: it has
-exactly the declared fields and no others.  Every field is required except
-the three that `_record` lists as optional: `state.amplitudes`,
-`helstrom.copies` and `helstrom.helstrom_error_copies`.
+shapes and the emitted documents cannot drift apart.  Every document, and
+every object inside one, is a closed record: exactly its declared fields,
+all required except `state.amplitudes`, `helstrom.copies` and
+`helstrom.helstrom_error_copies`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ _EDGES = {
     "type": "array",
     "items": {"type": "array", "items": _NONNEG, "minItems": 1},
 }
-_ERROR = {"type": "number", "minimum": 0, "maximum": 0.5}
+_P_ERR = {"type": "number", "minimum": 0, "maximum": 0.5}
 
 _TRACE_STEP = _record({
     "step": {"type": "string"},
@@ -81,8 +79,8 @@ SCHEMAS: dict[str, dict] = {
     }),
     "helstrom": _record(
         {"n": _N, "overlap": {"type": "number", "minimum": -1, "maximum": 1},
-         "helstrom_error": _ERROR, "copies": {"type": "integer", "minimum": 1},
-         "helstrom_error_copies": _ERROR},
+         "helstrom_error": _P_ERR, "copies": {"type": "integer", "minimum": 1},
+         "helstrom_error_copies": _P_ERR},
         optional=("copies", "helstrom_error_copies"),
     ),
     "verify": _record({

@@ -206,14 +206,12 @@ def test_undecodable_file_is_a_one_line_input_error(capsys, tmp_path):
     path = tmp_path / "f"
     path.write_bytes(b"x1 & x2\n\xff\xfe x1\n")
     assert cli.run(["classify", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: cannot read {str(path)!r}: byte 0xff at offset 8 is not UTF-8\n"
-    )
+    assert capsys.readouterr().err == f"error: cannot read {str(path)!r}: not UTF-8 text at byte 8\n"
 
 
 def test_undecodable_stdin_is_a_one_line_input_error():
-    # A strict stdin decoder raises where the read happens, as it does under
-    # a UTF-8 locale without surrogateescape.
+    # Python reads stdin strictly under a UTF-8 locale (surrogateescape only
+    # under the C locale), so the decode error is raised by the read itself.
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "pilme", "classify", "-"],
@@ -223,7 +221,7 @@ def test_undecodable_stdin_is_a_one_line_input_error():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr == b"error: cannot read '-': byte 0xff at offset 0 is not UTF-8\n"
+    assert proc.stderr == b"error: cannot read '-': not UTF-8 text at byte 0\n"
 
 
 def test_formula_arity_inferred_from_variables(capsys):

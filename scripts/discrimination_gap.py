@@ -14,7 +14,7 @@ def main() -> None:
     header = f"{'n':>2} {'overlap':>22} {'P_err':>22} {'1/2 - P_err':>14} {'gap / 2^(-n/2)':>15}"
     print(header)
     print("-" * len(header))
-    for n in range(2, 21):
+    for n in range(2, 25):
         a, b = unique_sat_pair(n)
         ov = overlap(a, b)
         err = helstrom_error(a, b)

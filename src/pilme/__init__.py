@@ -39,7 +39,6 @@ from .lme_state import (
     verify_certificate,
 )
 from .quantum_sim import (
-    SIM_MAX_N,
     PromiseViolationError,
     StateVector,
     algorithm1_end_to_end,

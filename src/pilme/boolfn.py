@@ -28,8 +28,9 @@ from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Literal, Optional
 
-# Cap on arity for table-building operations and the command line's
-# ceiling; a table at n = 24 occupies 2 MiB.
+# Cap on the arity of every function handed to the package, and the
+# command line's ceiling; a table at n = 24 occupies 2 MiB.  What the
+# package builds from an admitted function is not refused for its width.
 MAX_N = 24
 
 Kind = Literal["constant0", "constant1", "balanced", "neither"]
@@ -46,7 +47,7 @@ class ParseError(ValueError):
 
 
 def check_arity(arity: int, cap: int = MAX_N) -> None:
-    """Refuse to build a table wider than the cap."""
+    """Refuse an arity above the cap."""
     if arity > cap:
         raise ValueError(f"arity {arity} exceeds the configured cap {cap}")
 
@@ -599,12 +600,13 @@ def conjoin_fresh(f: BooleanFunction, count: int) -> BooleanFunction:
 
     The satisfying assignments of the result are exactly those of f with
     all fresh variables set, so the satisfying count is preserved while
-    the domain grows by a factor of 2**count.
+    the domain grows by a factor of 2**count.  The cap applies to f, so
+    the result may be `count` variables wider than MAX_N.
     """
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
+    check_arity(f.arity)
     arity = f.arity + count
-    check_arity(arity)
     return BooleanFunction(arity, f.table << ((1 << arity) - (1 << f.arity)))
 
 

@@ -7,9 +7,8 @@ before any table is built.  `anf` and `hypergraph` keep ANF text as it
 is, with no table (`load_hypergraph`).  Each handler returns its facts,
 and `run` alone prints them.
 
-Exit codes: 0 success, 1 domain errors (arity and simulator caps,
-promise violations, verification failures), 2 usage and input parse
-errors.
+Exit codes: 0 success, 1 domain errors (the arity cap, promise
+violations, verification failures), 2 usage and input parse errors.
 """
 
 from __future__ import annotations

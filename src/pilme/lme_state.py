@@ -120,8 +120,9 @@ def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
         width = 1 << k
         mask = (1 << width) - 1
         # Cut out the pair [0, 2**(k+1)) before shifting, so level k costs
-        # O(2**k) and not a shift of the whole table.
-        pair = state.table & ((1 << (2 * width)) - 1)
+        # O(2**k) and not a shift of the whole table.  At the top level the
+        # pair is the whole table, and cutting it would only copy it.
+        pair = state.table & ((1 << (2 * width)) - 1) if 2 * width < state.size else state.table
         d = (pair & mask) ^ (pair >> width)
         if d == 0 or d == mask:
             continue

@@ -20,12 +20,10 @@ from typing import Literal
 
 import numpy as np
 
-from .boolfn import BooleanFunction, classify
+from .boolfn import MAX_N, BooleanFunction, check_arity, classify
 from .lme_state import is_osm
 from .reductions import SatVerdict, TraceStep
 
-# 2**21 int32 amplitudes (state plus ancilla) is 8 MiB.
-SIM_MAX_N = 20
 # The bound on exponent + qubit_count for a vector built by a caller.  With
 # every |a| <= 2**(e/2), which is checked first, the int64 sum of squares
 # that checks the norm cannot wrap.
@@ -138,8 +136,8 @@ def prepare_psi_f(f: BooleanFunction) -> StateVector:
     state of f sign for sign.
     """
     n = f.arity
-    if n > SIM_MAX_N:
-        raise ValueError(f"arity {n} exceeds the simulator cap {SIM_MAX_N}")
+    # At MAX_N = 24 the 2**25 int32 amplitudes (state plus ancilla) are 128 MiB.
+    check_arity(n)
     half = 1 << n
     amps = np.ones(2 * half, dtype=np.int32)
     amps[half:] = -1
@@ -164,7 +162,7 @@ def zero_outcome_probability(f: BooleanFunction) -> float:
     computed: the sum of the 2**n amplitudes (-1)**f(x) is W_f(0), the
     layer's unscaled amplitude 0, at exponent 2n.  So this is
     W_f(0)**2 / 2**(2n) = ((2**n - 2|f|) / 2**n)**2, exact in a float
-    because W_f(0)**2 <= 2**40."""
+    because W_f(0)**2 <= 2**48 < 2**53 at MAX_N = 24."""
     sv = prepare_psi_f(f)
     w = int(sv.amplitudes.sum(dtype=np.int64))
     return math.ldexp(w * w, -2 * sv.qubit_count)
@@ -250,6 +248,6 @@ def unique_sat_pair(n: int) -> tuple[BooleanFunction, BooleanFunction]:
     the all-zeros function and the state with only the sign of |0...0>
     flipped (the indicator of the all-zeros string).  Their overlap is
     1 - 2/2**n, exponentially close to one."""
-    if not 1 <= n <= SIM_MAX_N:
-        raise ValueError(f"n must be between 1 and {SIM_MAX_N}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be between 1 and {MAX_N}")
     return BooleanFunction(n, 0), BooleanFunction(n, 1)

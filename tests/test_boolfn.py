@@ -708,8 +708,15 @@ def test_conjoin_fresh_rejects_bad_count_and_overflow():
     f = BooleanFunction(2, 0b0110)
     with pytest.raises(ValueError):
         conjoin_fresh(f, 3)
+    # The cap bounds the input, not the image: an input at the cap gives a
+    # wider function with the same satisfying assignments.
     with pytest.raises(ValueError):
-        conjoin_fresh(BooleanFunction(23, 0), 2)
+        conjoin_fresh(BooleanFunction(25, 0), 1)
+    f = BooleanFunction(24, random.Random(24).getrandbits(1 << 24))
+    for count in (1, 2):
+        g = conjoin_fresh(f, count)
+        assert g.arity == 24 + count
+        assert classify(g).satisfying_count == classify(f).satisfying_count
 
 
 # ---------------------------------------------------------------------------

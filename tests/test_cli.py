@@ -287,9 +287,10 @@ def test_promise_violation_is_domain_error(capsys):
     assert "neither constant nor balanced" in capsys.readouterr().err
 
 
-def test_helstrom_above_simulator_cap_is_domain_error(capsys):
-    assert cli.run(["helstrom", "--unique-sat-pair", "--n", "21"]) == 1
-    capsys.readouterr()
+def test_helstrom_above_the_arity_cap_is_domain_error(capsys):
+    assert cli.run(["helstrom", "--unique-sat-pair", "--n", "24"]) == 0
+    assert cli.run(["helstrom", "--unique-sat-pair", "--n", "25"]) == 1
+    assert capsys.readouterr().err == "error: n must be between 1 and 24\n"
 
 
 def test_max_n_flag_is_capped(capsys):

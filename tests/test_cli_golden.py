@@ -10,9 +10,10 @@ reads (`007`, `+3`, `1_0`), other separators (tab, CRLF, form feed) and
 a 5,000-digit vertex.  Rows above
 the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
 `sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
-and n=24.  One library digest pins the verdict, witness and trace of both
-SAT pipelines on every function with n <= 3, and another pins the
-published JSON schemas.  A refactor of the library must leave every row
+and n=24; `sat`, `dj` and `helstrom` answer at the cap, n=24.  One
+library digest pins the verdict, witness and trace of both SAT pipelines
+on every function with n <= 3, and another pins the published JSON
+schemas.  A refactor of the library must leave every row
 unchanged.
 """
 
@@ -142,7 +143,8 @@ CASES = [
     (["state", "--format", "anf", "c 1\n0\n1\n", "--amplitudes"], None),
     (["separable", "--format", "anf", "c 1\n0\n1\n", "--json"], None),
     (["anf", "--format", "anf", "c 1", "--n", "3"], None),
-    # error paths
+    # error paths, and two inputs at their arity's limit that answer: the
+    # cap bounds the input, not f AND y or the simulator register
     (["sat", "x24"], None),
     (["reduce-karp", "x23"], None),
     (["classify", "x1 &"], None),
@@ -233,6 +235,11 @@ CASES = [
     # a 5,000-digit vertex, alone and after a valid line
     (["anf", "--format", "anf", f"c 0\n{HUGE_VERTEX}\n"], None),
     (["hypergraph", "--format", "anf", f"c 0\n1 2\n{HUGE_VERTEX} 1 1\n", "--json"], None),
+    # at the cap: the second oracle call on the 25-ary f AND y, the
+    # simulator on a 25-qubit register, and the pair's popcount overlap
+    (["sat", "x1 ^ x24", "--n", "24", "--json"], None),
+    (["dj", "x1 ^ x24", "--n", "24"], None),
+    (["helstrom", "--unique-sat-pair", "--n", "24", "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -286,7 +293,7 @@ EXPECTED = [
     (0, '8171f93e3e08ce2ec75435053b3ee53973479886f1a4c470e13055c49e8c5b6a', ''),
     (0, '10f0a416451dae84f310c67d33e1eddc4a54936a90ad41cbfccaa8c982bba1d2', ''),
     (0, '2801b7e4daf6be82f0891f845777a1f7d0cbaa17163fd1a3074a2b99544c97b1', ''),
-    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
+    (0, 'cf7a904412fd72babc36d9b8965d07296a230538a697cfd7d8ebcb24148a049c', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: unexpected end of input (at position 4)\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x25 out of range for arity 24 (at position 0)\n'),
@@ -298,7 +305,7 @@ EXPECTED = [
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: vertex count cannot be inferred from an edge-free input\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 31 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 1000000000001 exceeds the configured cap 24\n'),
-    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 21 exceeds the simulator cap 20\n'),
+    (0, '396b97824adeb80fe5e4cc879ac0700393f11e1b6eda0bdce4e2edabd4ccea9b', ''),
     (0, '7c4bf621ad0e77d66432b72c6a310b0bcd6c9c96eaada64aa31e37403f6e1ddc', ''),
     (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
     (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
@@ -356,6 +363,9 @@ EXPECTED = [
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 11 exceeds the configured cap 10\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX}'\n"),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX} 1 1'\n"),
+    (0, '5641a02550fe1d272db3b6fee2ca161af4de54d431790dc392d0185f240c56b2', ''),
+    (0, '41c5cf38b9374b9e9551a114e0f17aa2d15f345d1b70d03887ed78cd55678e10', ''),
+    (0, 'eecbb0fae2bcd07322533aec66f7c224b645ecb01f58afbb898533b759442e6a', ''),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).

@@ -117,7 +117,11 @@ def test_the_checker_passes_every_json_output_of_the_other_rounds(perfbench):
     for n in (2, 10):
         slots.append({"n": n, "family": "pair", "cmd": "helstrom", "json": True,
                       **workloads._helstrom_input(n)})
-    assert len(slots) == 101
+    # A product at the cap: the second oracle call asks about the 25-ary
+    # f AND y, which the arity cap does not refuse, so this slot answers.
+    item = workloads._wide_sat_input(rng, 24, "product", "sat", builders)
+    slots.append({"n": 24, "family": "product", "cmd": "sat", "json": True, **item})
+    assert len(slots) == 102
     for slot_id, slot in enumerate(slots):
         rc, out, err = ops.run_cli(pilme.cli, ops.cli_argv(slot))
         verdict = checker.check(slot_id, slot, rc, out, err)

@@ -20,7 +20,6 @@ from pilme.boolfn import (
 from pilme import quantum_sim
 from pilme.lme_state import state_from_function
 from pilme.quantum_sim import (
-    SIM_MAX_N,
     PromiseViolationError,
     StateVector,
     algorithm1_end_to_end,
@@ -127,7 +126,7 @@ def _built_state_tables(max_exhaustive_n):
     for n in range(1, max_exhaustive_n + 1):
         for table in range(1 << (1 << n)):
             yield BooleanFunction(n, table)
-    for n in (12, SIM_MAX_N):
+    for n in (12, 20):
         yield BooleanFunction(n, random.Random(n).getrandbits(1 << n))
 
 
@@ -304,7 +303,7 @@ def test_prepare_signs_match_random(f):
 
 def test_prepare_rejects_arity_above_cap():
     with pytest.raises(ValueError):
-        prepare_psi_f(BooleanFunction(21, 0))
+        prepare_psi_f(BooleanFunction(25, 0))
 
 
 def test_signs_from_state_rejects_non_sign_states():
@@ -389,8 +388,7 @@ def test_zero_outcome_probability_is_exact_on_seeded_tables(n):
     assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
 
 
-def _cap_table(family):
-    n = SIM_MAX_N
+def _cap_table(family, n=20):
     half = random.Random(20).getrandbits(1 << (n - 1))
     return {
         "constant": (1 << (1 << n)) - 1,
@@ -401,13 +399,13 @@ def _cap_table(family):
 
 
 def test_prepared_signs_round_trip_at_the_cap():
-    f = BooleanFunction(SIM_MAX_N, _cap_table("random"))
+    f = BooleanFunction(20, _cap_table("random"))
     assert signs_from_state(prepare_psi_f(f)) == f
 
 
 @pytest.mark.parametrize("family", ["constant", "balanced", "random"])
 def test_zero_outcome_probability_matches_closed_form_at_the_cap(family):
-    f = BooleanFunction(SIM_MAX_N, _cap_table(family))
+    f = BooleanFunction(20, _cap_table(family))
     assert Fraction(zero_outcome_probability(f)) == _closed_form(f)
 
 
@@ -416,7 +414,7 @@ def test_zero_outcome_probability_matches_the_hadamard_layer_amplitude():
     # apply_hadamard and reads its amplitude 0 at its own exponent.
     rng = random.Random(66)
     tables = [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(1, 7) for _ in range(4)]
-    tables += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in (17, SIM_MAX_N)]
+    tables += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in (17, 20)]
     for f in tables:
         layered = prepare_psi_f(f)
         for qubit in range(f.arity):
@@ -425,9 +423,10 @@ def test_zero_outcome_probability_matches_the_hadamard_layer_amplitude():
         assert Fraction(zero_outcome_probability(f)) == Fraction(a0**2, 2**layered.exponent)
 
 
-def test_zero_outcome_probability_peak_memory_stays_near_the_state_size():
-    f = BooleanFunction(SIM_MAX_N, _cap_table("balanced"))
-    ancilla_state_bytes = 4 << (SIM_MAX_N + 1)
+@pytest.mark.parametrize("n", [20, 24])
+def test_zero_outcome_probability_peak_memory_stays_near_the_state_size(n):
+    f = BooleanFunction(n, _cap_table("balanced", n))
+    ancilla_state_bytes = 4 << (n + 1)
     tracemalloc.start()
     try:
         zero_outcome_probability(f)
@@ -478,6 +477,22 @@ def test_pipeline_membership_check_happens_once():
         verdict = algorithm1_end_to_end(BooleanFunction(2, table))
         assert sum(1 for s in verdict.trace if s.step == "product_test") == 1
         assert max(s.oracle_calls for s in verdict.trace) <= 1
+
+
+def test_pipeline_peak_memory_at_the_cap_stays_near_the_state_size():
+    # A contradiction runs every stage: both preparations, the product
+    # test, the constant-versus-balanced split and the ancilla readout.
+    n = 24
+    ancilla_state_bytes = 4 << (n + 1)
+    tracemalloc.start()
+    try:
+        verdict = algorithm1_end_to_end(BooleanFunction(n, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (verdict.satisfiable, verdict.witness) == (False, None)
+    assert verdict.trace[-1].step == "ancilla_readout"
+    assert peak <= 3.25 * ancilla_state_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +563,12 @@ def test_helstrom_copies_reduces_error():
 
 
 def test_unique_sat_pair_properties():
-    for n in (2, 3, 10, 20):
+    for n in (2, 3, 10, 20, 24):
         a, b = unique_sat_pair(n)
         assert a.table == 0 and b.table == 1
         assert overlap(a, b) == 1.0 - 2.0 / (1 << n)
     with pytest.raises(ValueError):
-        unique_sat_pair(21)
+        unique_sat_pair(25)
 
 
 def test_unique_sat_pair_membership_split_even_at_cap():

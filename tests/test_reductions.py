@@ -133,8 +133,13 @@ def test_karp_and():
 
 
 def test_karp_rejects_arity_overflow():
+    # The input is capped; the image of an input at the cap has 26 variables.
     with pytest.raises(ValueError):
-        karp_reduce(BooleanFunction(23, 0))
+        karp_reduce(BooleanFunction(25, 0))
+    f = _fn("x1 ^ x24", 24)
+    g = karp_reduce(f)
+    assert g.arity == 26
+    assert classify(g).satisfying_count == classify(f).satisfying_count
 
 
 def test_karp_agrees_with_brute_force_exhaustive():

@@ -240,6 +240,18 @@ CASES = [
     (["sat", "x1 ^ x24", "--n", "24", "--json"], None),
     (["dj", "x1 ^ x24", "--n", "24"], None),
     (["helstrom", "--unique-sat-pair", "--n", "24", "--json"], None),
+    # separable on ANF text: dense and entangled at n = 12, sparse at n = 24,
+    # a product and an edge-free hypergraph at n = 24, and a faulty line,
+    # whose parse error wins over any answer
+    (["separable", "--format", "anf", ANF12], None),
+    (["separable", "--format", "anf", ANF12, "--json"], None),
+    (["separable", "--format", "anf", ANF24], None),
+    (["separable", "--format", "anf", ANF24, "--json"], None),
+    (["separable", "--format", "anf", "c 1\n0\n23\n"], None),
+    (["separable", "--format", "anf", "c 1\n0\n23\n", "--json"], None),
+    (["separable", "--format", "anf", "c 0", "--n", "24"], None),
+    (["separable", "--format", "anf", "c 0", "--n", "24", "--json"], None),
+    (["separable", "--format", "anf", "c 1\n0\n23\n5 5\n", "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -366,6 +378,15 @@ EXPECTED = [
     (0, '5641a02550fe1d272db3b6fee2ca161af4de54d431790dc392d0185f240c56b2', ''),
     (0, '41c5cf38b9374b9e9551a114e0f17aa2d15f345d1b70d03887ed78cd55678e10', ''),
     (0, 'eecbb0fae2bcd07322533aec66f7c224b645ecb01f58afbb898533b759442e6a', ''),
+    (0, '78647995631c3067b1f29301e3cf45fb5f2bde8817e1163a908092e7f1e154a5', ''),
+    (0, 'e72f7265555bb293c9fa7e1f63a44504ab51ec6fb7bccf90735f2b4e5154e3ba', ''),
+    (0, '47d4e035437e647cd0079fe30bc7e60e2509a51fc5dbafdef30bca19be16cc56', ''),
+    (0, '1e9b20ed266ce37f21ccbed502228f133804a25bf8b8164561e9ccd6d58ebbc5', ''),
+    (0, '24aafe1a3454ddc7f464211d130a1f5fa982e40fa3cc2ca37e6b7f12557ce375', ''),
+    (0, 'fe33c69b72c103b573452dadbbc445128cabcf523c7fc628f1f5194c4594a6c7', ''),
+    (0, '659dfe0d59327bda1ace7bf987fc2eab7efff2da4ab4a8273569b6a5f94978f4', ''),
+    (0, '6953de5dc475f274f13836dc2d0c54c13e17e56f83e03a00e22af0a42f2390a4', ''),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: repeated vertex in monomial '5 5'\n"),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).

@@ -35,6 +35,7 @@ from .lme_state import (
     factorize,
     find_certificate,
     is_osm,
+    membership_witness,
     state_from_function,
     verify_certificate,
 )

@@ -113,17 +113,13 @@ class Hypergraph:
         # The edge masks in the order of `edges`.  A dense coefficient keeps
         # the set ones of every possible mask, read in that order from one
         # flag byte per coefficient bit; a sparse or wide one sorts its set
-        # bits, where within one size vertex tuples compare as the masks'
-        # binary digits read from bit 0, reversed.
+        # bits.  `parse_anf_text` seeds a sparse one with the masks it read.
         n, coeff = self.vertex_count, self.coeff & ~1
-        if n <= _ORDER_MAX_N and coeff.bit_count() * 8 >= 1 << n:
+        if _lists_dense(n, coeff.bit_count()):
             # Byte m of flags is bit m of coeff: its binary digits, lowest first.
             flags = f"{coeff:0{1 << n}b}"[::-1].encode().translate(_DIGIT_FLAGS)
             return list(filter(flags.__getitem__, _edge_order(n)))
-        masks = _set_bits(coeff)
-        masks.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
-        masks.sort(key=int.bit_count)
-        return masks
+        return _sort_edge_masks(_set_bits(coeff))
 
     def _decode_edges(self, byte_table: Callable[[int], tuple]) -> Iterator:
         # Each edge in order as byte_table(0)[b0] + byte_table(1)[b1] + ...
@@ -163,6 +159,21 @@ _ORDER_MAX_N = 16
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _lists_dense(n: int, edge_count: int) -> bool:
+    # Whether edges over n vertices are listed through the order table, at
+    # one edge or more per 8 coefficient bits, rather than sorted.
+    return n <= _ORDER_MAX_N and edge_count * 8 >= 1 << n
+
+
+def _sort_edge_masks(masks: list[int]) -> list[int]:
+    # Sorts masks in place into the order of `Hypergraph.edges`: by size,
+    # then, within one size, as the vertex tuples compare, which is the
+    # masks' binary digits read from bit 0, reversed.
+    masks.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
+    masks.sort(key=int.bit_count)
+    return masks
+
+
 @functools.cache
 def _edge_order(n: int) -> array:
     """Every edge mask over n <= 16 vertices, by size, then by its vertex
@@ -200,7 +211,15 @@ def _byte_text(k: int) -> tuple[str, ...]:
 
 
 def pack_bits(positions: Iterable[int], size: int) -> int:
-    """The int with exactly the given bits set, all below `size`."""
+    """The int with exactly the given bits set, all below `size`.
+
+    Up to 7 positions are OR-ed in as shifted ones, ascending, one pass
+    over the int each.  More are set in a byte array, converted once: at
+    size 2**24 that conversion costs about as much as 7 such passes.
+    """
+    positions = list(positions)
+    if len(positions) < 8:
+        return functools.reduce(operator.or_, map((1).__lshift__, sorted(positions)), 0)
     raw = bytearray((size + 7) // 8)
     for p in positions:
         raw[p >> 3] |= 1 << (p & 7)

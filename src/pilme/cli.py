@@ -3,9 +3,10 @@ either human-readable text or JSON carrying the same facts.
 
 `_read_input` is the one input boundary: it checks --n, --max-n (or
 PILME_MAX_N) and --format, and refuses an arity above the configured cap
-before any table is built.  `anf` and `hypergraph` keep ANF text as it
-is, with no table (`load_hypergraph`).  Each handler returns its facts,
-and `run` alone prints them.
+before any table is built.  `anf`, `hypergraph` and `separable` keep
+ANF text as it is, with no table (`load_hypergraph`): `separable` reads
+its answer off the coefficients.  Each handler returns its facts, and
+`run` alone prints them.
 
 Exit codes: 0 success, 1 domain errors (the arity cap, promise
 violations, verification failures), 2 usage and input parse errors.
@@ -98,6 +99,12 @@ def load_hypergraph(args: argparse.Namespace) -> Hypergraph:
     return hypergraph.parse_anf_text(text, args.n, max_n=args.max_n)
 
 
+def load_state(args: argparse.Namespace) -> BooleanFunction | Hypergraph:
+    """Parse the input into its hypergraph if it is ANF text, else into its
+    truth table: the two forms `lme_state.membership_witness` reads."""
+    return load_hypergraph(args) if args.format == "anf" else load_function(args)
+
+
 def _render(facts: dict) -> str:
     """One ``key: value`` line per fact: booleans in lower case, floats to
     17 significant digits, everything else as `str` gives it."""
@@ -136,23 +143,22 @@ def _state(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
     return _render(facts) + "amplitudes:\n" + "".join(f"  {a:.17g}\n" for a in amplitudes)
 
 
-def _separable(f: BooleanFunction, args: argparse.Namespace) -> dict | str:
-    cert = lme_state.find_certificate(f)
-    facts = {"n": f.arity, "osm": cert is None, "decomposition": None, "certificate": None}
-    if cert is None:
-        # find_certificate has just run the block test, so read the factors
-        # directly: factorize would run it a second time.
-        decomposition = lme_state._read_factors(f)
-        sign = "+" if decomposition.global_sign > 0 else "-"
-        factors = ["+" if eps > 0 else "-" for eps in decomposition.factors]
+def _separable(state: BooleanFunction | Hypergraph, args: argparse.Namespace) -> dict | str:
+    n = state.vertex_count if isinstance(state, Hypergraph) else state.arity
+    witness = lme_state.membership_witness(state)
+    osm = isinstance(witness, lme_state.FactorDecomposition)
+    facts = {"n": n, "osm": osm, "decomposition": None, "certificate": None}
+    if osm:
+        sign = "+" if witness.global_sign > 0 else "-"
+        factors = ["+" if eps > 0 else "-" for eps in witness.factors]
         facts["decomposition"] = {"global": sign, "factors": factors}
         detail = f"decomposition: global={sign} factors={''.join(factors)}"
     else:
-        facts["certificate"] = {"k": cert.k, "l": cert.l, "m": cert.m}
-        detail = f"certificate: k={cert.k} l={cert.l} m={cert.m}"
+        facts["certificate"] = {"k": witness.k, "l": witness.l, "m": witness.m}
+        detail = f"certificate: k={witness.k} l={witness.l} m={witness.m}"
     if args.json:
         return facts
-    return _render({"n": f.arity, "osm": cert is None}) + detail + "\n"
+    return _render({"n": n, "osm": osm}) + detail + "\n"
 
 
 def _anf(graph: Hypergraph, args: argparse.Namespace) -> dict | str:
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     state_cmd.add_argument("--amplitudes", action="store_true",
                            help="include the amplitude vector in the output")
     add_input_command("separable", _separable,
-                      "product membership with decomposition or certificate")
+                      "product membership with decomposition or certificate", load_state)
     add_input_command("anf", _anf, "XOR polynomial of the function", load_hypergraph)
     add_input_command("hypergraph", _hypergraph, "hypergraph view and edge criterion", load_hypergraph)
     add_input_command("reduce-karp", _reduce_karp,

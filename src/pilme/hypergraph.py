@@ -4,15 +4,18 @@ The XOR polynomial of the generating function doubles as a hypergraph
 (one edge per monomial), and a state is entangled exactly when some edge
 couples two or more qubits.  A truth table reaches its hypergraph only
 through the full subset-lattice transform (ANF text is one already), so
-the easy edge test does not shortcut the hard decision problem.
+the easy edge test does not shortcut the hard decision problem.  Given
+the hypergraph, the four-point certificate or the factors are read off
+the coefficients too (`lme_state.membership_witness`).
 
 Both text and JSON list the edges by size, then lexicographically
 (`Hypergraph.edges`): a dense coefficient is read through a table of
 every edge mask in that order, any other one sorts its set bits.
 `parse_anf_text` maps each vertex token written the way
-`render_anf_text` writes it to its mask bit through one dict; input with
-any other spelling, or with a fault, is read line by line, so the first
-faulty line decides the error.
+`render_anf_text` writes it to its mask bit through one dict, and keeps
+a sparse edge list so read, sorted into that order, so that nothing is
+decoded to list it.  Input with any other spelling, or with a fault, is
+read line by line, so the first faulty line decides the error.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .boolfn import (
     Hypergraph,
     ParseError,
     _byte_text,
+    _lists_dense,
+    _sort_edge_masks,
     anf,
     check_arity,
     pack_bits,
@@ -128,7 +133,8 @@ def parse_anf_text(
     if len(header) != 2 or header[0] != "c" or header[1] not in ("0", "1"):
         raise ParseError(f"expected 'c 0' or 'c 1' header, got {lines[0]!r}")
     masks = _canonical_masks(lines[1:])
-    if masks is not None:
+    canonical = masks is not None
+    if canonical:
         inferred = max(masks, default=0).bit_length()
     else:
         edges = _checked_edges(lines[1:])
@@ -144,7 +150,11 @@ def parse_anf_text(
             f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}"
         )
     check_arity(vertex_count, max_n)
-    return Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
+    graph = Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
+    if canonical and not _lists_dense(vertex_count, len(masks)):
+        # Kept as read, in print order, so listing the edges decodes nothing.
+        vars(graph)["_edge_masks"] = _sort_edge_masks(masks)
+    return graph
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .boolfn import BooleanFunction, evaluate
+from .boolfn import BooleanFunction, Hypergraph, evaluate
 
 
 class NotProductError(ValueError):
@@ -130,6 +130,36 @@ def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
         m = (flipped & -flipped).bit_length() - 1
         return Certificate(k, 0, m)
     return None
+
+
+def membership_witness(
+    state: BooleanFunction | Hypergraph,
+) -> Certificate | FactorDecomposition:
+    """The certificate `find_certificate` gives an entangled state, or the
+    factors of a product one, from its truth table or its hypergraph.
+
+    A hypergraph is read off its coefficients, with no table.  The level-k
+    difference d(i) = f(i) xor f(2**k + i) on [0, 2**k) has coefficient
+    bits [2**k, 2**(k+1)) shifted down, so level k fails iff a bit strictly
+    inside that range is set: an edge of two or more vertices whose top
+    vertex is k.  On the first such level, m is the lowest of those bits
+    minus 2**k, where d first differs from d(0).  With no such edge, the
+    global sign is bit 0 and factor k is minus iff bit 2**k is set.
+    """
+    if isinstance(state, BooleanFunction):
+        cert = find_certificate(state)
+        return cert if cert is not None else _read_factors(state)
+    coeff = state.coeff
+    for k in range(state.vertex_count):
+        width = 1 << k
+        # Cut out bits [0, 2**(k+1)) before shifting, as find_certificate
+        # does, so level k costs O(2**k) and not a shift of every bit.
+        low = coeff & ((1 << 2 * width) - 1) if coeff.bit_length() > 2 * width else coeff
+        window = low >> (width + 1)
+        if window:
+            return Certificate(k, 0, (window & -window).bit_length())
+    factors = tuple(-1 if coeff & (1 << (1 << k)) else 1 for k in range(state.vertex_count))
+    return FactorDecomposition(-1 if coeff & 1 else 1, factors)
 
 
 def verify_certificate(

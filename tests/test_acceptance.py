@@ -15,9 +15,11 @@ from pilme.boolfn import BooleanFunction, classify, evaluate, from_table_hex, sa
 from pilme.hypergraph import entangling_edge_exists, hypergraph_of
 from pilme.lme_state import (
     Certificate,
+    _read_factors,
     count_osm_states,
     find_certificate,
     is_osm,
+    membership_witness,
     state_from_function,
     verify_certificate,
 )
@@ -174,6 +176,11 @@ def test_criterion_08_hypergraph_criterion_and_round_trips():
             if entangled != entangling_edge_exists(h):
                 ok = False
                 break
+            # the certificate or the factors, read off the coefficients
+            cert = find_certificate(f)
+            if membership_witness(h) != (cert if entangled else _read_factors(f)):
+                ok = False
+                break
         if not ok:
             break
     # analysis of a synthesized polynomial returns the same polynomial
@@ -182,7 +189,8 @@ def test_criterion_08_hypergraph_criterion_and_round_trips():
             h = hypergraph_of(BooleanFunction(n, table))
             if hypergraph_of(from_anf(h)) != h:
                 ok = False
-    _report("criterion 8: entanglement iff an edge couples >=2 vertices (n<=4); "
+    _report("criterion 8: entanglement iff an edge couples >=2 vertices (n<=4), "
+            "with the table's certificate or factors read off the edges; "
             "polynomial round-trips are identities", ok)
 
 

@@ -339,8 +339,9 @@ def test_run_builds_the_parser_once(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ANF text input: anf and hypergraph print it back with no transform, and the
-# table-reading commands still build the table from it
+# ANF text input: anf and hypergraph print it back and separable reads its
+# answer off it, with no transform; the table-reading commands still build
+# the table from it
 
 
 def _sparse_anf(n):
@@ -375,7 +376,8 @@ SPARSE_ANF_ANSWERS = {
 @pytest.mark.parametrize("n", [1, 5, 16, 20, 24])
 def test_anf_and_hypergraph_print_anf_input_without_the_transform(n, capsys, monkeypatch):
     text = _sparse_anf(n)
-    graph = hypergraph.hypergraph_of(boolfn.from_anf(hypergraph.parse_anf_text(text, n)))
+    f = boolfn.from_anf(hypergraph.parse_anf_text(text, n))
+    graph = hypergraph.hypergraph_of(f)
     facts = hypergraph.hypergraph_to_json(graph)
     entangling = hypergraph.entangling_edge_exists(graph)
     expected = {
@@ -384,11 +386,16 @@ def test_anf_and_hypergraph_print_anf_input_without_the_transform(n, capsys, mon
         ("hypergraph",): hypergraph.render_anf_text(graph) + f"entangling: {str(entangling).lower()}\n",
         ("hypergraph", "--json"): json.dumps({**facts, "entangling": entangling}) + "\n",
     }
+    # separable answers as it does on the truth table itself
+    table = ["--format", "table-hex", boolfn.to_table_hex(f), "--n", str(n)]
+    for flags in ((), ("--json",)):
+        expected["separable", *flags] = run_text(capsys, ["separable", *table, *flags])
 
-    def refuse(packed, n):
-        raise AssertionError("the subset-lattice transform ran")
+    def refuse(*args):
+        raise AssertionError("a truth table was built")
 
     monkeypatch.setattr(boolfn, "_mobius", refuse)
+    monkeypatch.setattr(boolfn, "compile", refuse)
     for (command, *flags), out in expected.items():
         assert run_text(capsys, [command, "--format", "anf", text, "--n", str(n), *flags]) == out
 

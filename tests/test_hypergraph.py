@@ -319,3 +319,34 @@ def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte():
     finally:
         tracemalloc.stop()
     assert held <= 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# a sparse edge list in the spelling `render_anf_text` writes is kept as
+# parsed, so listing its edges decodes nothing
+
+
+@pytest.mark.parametrize("count", [5, 15])
+def test_sparse_canonical_anf_keeps_its_edges_as_parsed(count, monkeypatch):
+    # 5 edges are packed by OR-ing shifted ones, 15 through a byte array.
+    # Vertex 7 spelled `007` sends the same hypergraph through the line by
+    # line fallback, which decodes the edges from the coefficient.
+    rng = random.Random(count)
+    edges = {(23,), (1, 7), (3, 8, 16, 22, 23)}
+    while len(edges) < count:
+        edges.add(tuple(sorted(rng.sample(range(24), rng.randint(1, 5)))))
+    lines = [list(map(str, edge)) for edge in edges]
+    rng.shuffle(lines)
+    text = "c 1\n" + "".join(" ".join(line) + "\n" for line in lines)
+    with monkeypatch.context() as patch:
+        patch.setattr(boolfn, "_set_bits", _refuse)
+        h = parse_anf_text(text)
+        seeded = h.edges
+    assert h == Hypergraph(24, coeff_from_edges(1, map(frozenset, edges)))
+    assert seeded == Hypergraph(24, h.coeff).edges
+    assert seeded == tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
+    spelled = text.replace("1 7\n", "1 007\n")
+    assert spelled != text
+    fallback = parse_anf_text(spelled)
+    assert fallback == h
+    assert fallback.edges == seeded

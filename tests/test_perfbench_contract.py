@@ -69,7 +69,8 @@ def test_traced_cli_runs_keep_the_paper_s_oracle_counts(perfbench):
 def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
     # The harness's own inputs, expected answers and output checker, on
     # every command and output form of the hypergraph workload, on dense
-    # and sparse hypergraphs, so both ways of listing edges run.
+    # and sparse hypergraphs, so both ways of listing edges run, and on
+    # sparse ones as wide as the round's.
     ops, _ = perfbench
     workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
     checker = checks.CliChecker(schemas.SCHEMAS)
@@ -92,6 +93,18 @@ def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
                     verdict = checker.check(slot_id, slot, rc, out, err)
                     assert verdict == ("ok", ""), (n, family, cmd, as_json)
                     slot_id += 1
+    # The round's sparse hypergraphs at the widths it runs them, where
+    # separable reads its answer off the coefficients.  No table is drawn,
+    # so `state` is left out.
+    for n in (20, 24):
+        item = workloads._hypergraph_input(rng, n, "sparse", "separable")
+        for cmd in ("anf", "hypergraph", "separable"):
+            for as_json in (False, True):
+                slot = {"n": n, "family": "sparse", "cmd": cmd, "json": as_json, **item}
+                rc, out, err = ops.run_cli(pilme.cli, ops.cli_argv(slot))
+                verdict = checker.check(slot_id, slot, rc, out, err)
+                assert verdict == ("ok", ""), (n, "sparse", cmd, as_json)
+                slot_id += 1
 
 
 def test_the_checker_passes_every_json_output_of_the_other_rounds(perfbench):

@@ -12,9 +12,9 @@ Both text and JSON list the edges by size, then lexicographically
 (`Hypergraph.edges`): a dense coefficient is read through a table of
 every edge mask in that order, any other one sorts its set bits.
 `parse_anf_text` maps each vertex token written the way
-`render_anf_text` writes it to its mask bit through one dict, and keeps
-a sparse edge list so read, sorted into that order, so that nothing is
-decoded to list it.  Input with any other spelling, or with a fault, is
+`render_anf_text` writes it to its mask bit through one dict; a sparse
+edge list read that way is kept, sorted into print order, so listing it
+decodes nothing.  Input with any other spelling, or with a fault, is
 read line by line, so the first faulty line decides the error.
 """
 

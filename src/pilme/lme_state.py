@@ -5,7 +5,8 @@ all +-1/sqrt(2**n); bit i set means the coefficient of |i> is minus.
 That pattern is the truth table of its generating function, so a state
 is a BooleanFunction.  Membership in the set of plus/minus product
 states, up to a global sign, then reduces to block comparisons on the
-packed bits, and non-membership has a four-point witness.
+packed bits, and non-membership has a four-point witness.  The XOR
+polynomial of f gives the same answers straight from its coefficients.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
 `sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
 and n=24; `sat`, `dj` and `helstrom` answer at the cap, n=24.  One
 library digest pins the verdict, witness and trace of both SAT pipelines
-on every function with n <= 3, and another pins the published JSON
-schemas.  A refactor of the library must leave every row
+on every function with n <= 3, another pins the published JSON
+schemas, and one digest per script pins its stdout.  A refactor of the library must leave every row
 unchanged.
 """
 
@@ -252,6 +252,12 @@ CASES = [
     (["separable", "--format", "anf", "c 0", "--n", "24"], None),
     (["separable", "--format", "anf", "c 0", "--n", "24", "--json"], None),
     (["separable", "--format", "anf", "c 1\n0\n23\n5 5\n", "--json"], None),
+    # the edge test at n = 24 on a product, on an edge-free hypergraph, and
+    # on ANF24 with one vertex spelled `02`
+    (["hypergraph", "--format", "anf", "c 1\n0\n23\n"], None),
+    (["hypergraph", "--format", "anf", "c 1\n0\n23\n", "--json"], None),
+    (["hypergraph", "--format", "anf", "c 0", "--n", "24", "--json"], None),
+    (["hypergraph", "--format", "anf", ANF24.replace("\n1 2\n", "\n1 02\n"), "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -387,6 +393,10 @@ EXPECTED = [
     (0, '659dfe0d59327bda1ace7bf987fc2eab7efff2da4ab4a8273569b6a5f94978f4', ''),
     (0, '6953de5dc475f274f13836dc2d0c54c13e17e56f83e03a00e22af0a42f2390a4', ''),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: repeated vertex in monomial '5 5'\n"),
+    (0, 'caef3c7f59988188300fea4025255c66798938584259806f29a635f7c59b30c6', ''),
+    (0, 'b236dbf44d42adf46dc2b46052bb6bb0edfe49e099dbcd56a0503f5a205bbc27', ''),
+    (0, 'b8acc217d3834da9153ec125de5a485938af0521d320c72d249f832bef81df6b', ''),
+    (0, '37676303e116836e565bcc1d926854da24bd45acd0f0a6269982a8ee65c8fe51', ''),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).
@@ -469,6 +479,14 @@ def test_readme_library_block_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
+# SHA-256 of each script's stdout.
+SCRIPT_STDOUT = {
+    "discrimination_gap.py": "c148fb110b23713985d126cb7cb3113ed04f167bc42b54273462e9de7f91e586",
+    "ghz_walkthrough.py": "c637a9632035b4272a6c35cb0bef9f8554905312d42ae6f2fd311c0960909c59",
+    "product_state_census.py": "06f43650f82a08942a680d87a65892ef201cca75214e34c3a27ee4a09e60ba55",
+}
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
 def test_script_runs(script):
     proc = subprocess.run(
@@ -480,3 +498,4 @@ def test_script_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCRIPT_STDOUT[script]

@@ -6,7 +6,8 @@ That pattern is the truth table of its generating function, so a state
 is a BooleanFunction.  Membership in the set of plus/minus product
 states, up to a global sign, then reduces to block comparisons on the
 packed bits, and non-membership has a four-point witness.  The XOR
-polynomial of f gives the same answers straight from its coefficients.
+polynomial of f gives both answers, and the edge test, from one scan of
+its coefficients for the lowest edge that couples two or more vertices.
 """
 
 from __future__ import annotations
@@ -92,21 +93,10 @@ def factorize(state: BooleanFunction) -> FactorDecomposition:
     The global sign is the sign of |0...0>; qubit k is |+> iff |2**k| has
     the same sign as |0...0|.  Raises NotProductError on entangled input.
     """
-    if not is_osm(state):
+    witness = membership_witness(state)
+    if isinstance(witness, Certificate):
         raise NotProductError("state is not a product of plus/minus factors")
-    return _read_factors(state)
-
-
-def _read_factors(state: BooleanFunction) -> FactorDecomposition:
-    """Global sign and factors of a state that has passed the block test."""
-    # Bit 2**k is read by masking it alone, O(2**k), not by shifting the
-    # whole table down to it.
-    base = state.table & 1
-    factors = tuple(
-        1 if bool(state.table & (1 << (1 << k))) == base else -1
-        for k in range(state.arity)
-    )
-    return FactorDecomposition(-1 if base else 1, factors)
+    return witness
 
 
 def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
@@ -133,6 +123,28 @@ def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
     return None
 
 
+def _lowest_coupling_bit(h: Hypergraph) -> Optional[int]:
+    # The lowest coefficient bit strictly inside (2**k, 2**(k+1)) for the
+    # first k that has one, or None: the smallest coupling edge's mask.
+    coeff = h.coeff
+    for k in range(h.vertex_count):
+        width = 1 << k
+        # Cut out bits [0, 2**(k+1)) before shifting, as find_certificate
+        # does, so level k costs O(2**k) and not a shift of every bit.
+        low = coeff & ((1 << 2 * width) - 1) if coeff.bit_length() > 2 * width else coeff
+        window = low >> (width + 1)
+        if window:
+            return width + (window & -window).bit_length()
+    return None
+
+
+def entangling_edge_exists(h: Hypergraph) -> bool:
+    """True iff some edge couples at least two vertices.  Size-1 edges,
+    at the power-of-two bits of `coeff`, are single-qubit phase flips
+    (they swap |+> and |-> on one qubit) and never entangle."""
+    return _lowest_coupling_bit(h) is not None
+
+
 def membership_witness(
     state: BooleanFunction | Hypergraph,
 ) -> Certificate | FactorDecomposition:
@@ -149,18 +161,18 @@ def membership_witness(
     """
     if isinstance(state, BooleanFunction):
         cert = find_certificate(state)
-        return cert if cert is not None else _read_factors(state)
-    coeff = state.coeff
-    for k in range(state.vertex_count):
-        width = 1 << k
-        # Cut out bits [0, 2**(k+1)) before shifting, as find_certificate
-        # does, so level k costs O(2**k) and not a shift of every bit.
-        low = coeff & ((1 << 2 * width) - 1) if coeff.bit_length() > 2 * width else coeff
-        window = low >> (width + 1)
-        if window:
-            return Certificate(k, 0, (window & -window).bit_length())
-    factors = tuple(-1 if coeff & (1 << (1 << k)) else 1 for k in range(state.vertex_count))
-    return FactorDecomposition(-1 if coeff & 1 else 1, factors)
+        n, bits, base = state.arity, state.table, state.table & 1
+    else:
+        bit = _lowest_coupling_bit(state)
+        top = bit.bit_length() - 1 if bit else 0
+        cert = Certificate(top, 0, bit - (1 << top)) if bit else None
+        n, bits, base = state.vertex_count, state.coeff, 0
+    if cert is not None:
+        return cert
+    # Factor k is minus iff bit 2**k differs from the sign of |0...0> (a
+    # table) or is set (coefficients), read by masking that bit alone.
+    factors = tuple(-1 if bool(bits & (1 << (1 << k))) != base else 1 for k in range(n))
+    return FactorDecomposition(-1 if bits & 1 else 1, factors)
 
 
 def verify_certificate(

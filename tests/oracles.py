@@ -1,5 +1,6 @@
 """Brute-force reference implementations, kept deliberately independent of
 the library's packed-int tricks and array kernels: plain per-index loops,
+for ANF text a line-by-line reader that sends every token through `int`,
 for the Hadamard gate its full dense matrix, and for the subset-lattice
 transform one numpy XOR per level over an unpacked bit array.
 `apply_hadamard` is the exception: the butterfly form of the gate, which no
@@ -10,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from pilme.boolfn import MAX_N, ParseError
 from pilme.quantum_sim import StateVector
 
 
@@ -60,6 +62,46 @@ def sorted_edges_of(coeff: int, n: int) -> tuple:
         tuple(v for v in range(n) if (s >> v) & 1) for s in range(1, 1 << n) if raw[s >> 3] >> (s & 7) & 1
     ]
     return tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
+
+
+def read_anf_text(text: str, vertex_count=None, max_n: int = MAX_N):
+    """ANF text read line by line, every vertex through `int`, as
+    (vertex_count, coeff, edges) with the edges sorted by (size, vertices).
+
+    The first faulty line raises, checked for a bad token, then a negative
+    vertex, then a repeated vertex, then a repeated monomial; the vertex
+    count is inferred or checked, and capped, only after every line."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("empty input")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "c" or header[1] not in ("0", "1"):
+        raise ParseError(f"expected 'c 0' or 'c 1' header, got {lines[0]!r}")
+    edges = set()
+    for line in lines[1:]:
+        try:
+            vertices = [int(token) for token in line.split()]
+        except ValueError:
+            raise ParseError(f"bad monomial line {line!r}") from None
+        if any(v < 0 for v in vertices):
+            raise ParseError(f"negative vertex in {line!r}")
+        edge = frozenset(vertices)
+        if len(edge) != len(vertices):
+            raise ParseError(f"repeated vertex in monomial {line!r}")
+        if edge in edges:
+            raise ParseError(f"duplicate monomial {line!r}")
+        edges.add(edge)
+    inferred = 1 + max((max(edge) for edge in edges), default=-1)
+    if vertex_count is None:
+        if inferred == 0:
+            raise ParseError("vertex count cannot be inferred from an edge-free input")
+        vertex_count = inferred
+    elif vertex_count < inferred:
+        raise ParseError(f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}")
+    if vertex_count > max_n:
+        raise ValueError(f"arity {vertex_count} exceeds the configured cap {max_n}")
+    listed = sorted((tuple(sorted(edge)) for edge in edges), key=lambda edge: (len(edge), edge))
+    return vertex_count, coeff_from_edges(int(header[1]), edges), tuple(listed)
 
 
 def brute_anf_value(constant: int, edges, point: int) -> int:

@@ -15,8 +15,8 @@ from pilme.boolfn import BooleanFunction, classify, evaluate, from_table_hex, sa
 from pilme.hypergraph import entangling_edge_exists, hypergraph_of
 from pilme.lme_state import (
     Certificate,
-    _read_factors,
     count_osm_states,
+    factorize,
     find_certificate,
     is_osm,
     membership_witness,
@@ -178,7 +178,7 @@ def test_criterion_08_hypergraph_criterion_and_round_trips():
                 break
             # the certificate or the factors, read off the coefficients
             cert = find_certificate(f)
-            if membership_witness(h) != (cert if entangled else _read_factors(f)):
+            if membership_witness(h) != (cert if entangled else factorize(f)):
                 ok = False
                 break
         if not ok:

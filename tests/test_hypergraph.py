@@ -2,11 +2,12 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilme import boolfn
 from pilme.boolfn import (
+    MAX_N,
     BooleanFunction,
     ParseError,
     compile,
@@ -29,6 +30,7 @@ from oracles import (
     brute_anf_value,
     coeff_from_edges,
     product_sign_vectors,
+    read_anf_text,
     sorted_edges_of,
 )
 
@@ -88,6 +90,29 @@ def test_entangling_edge_exists_cases():
         Hypergraph(3, coeff_from_edges(0, frozenset({frozenset({0}), frozenset({2})})))
     )
     assert not entangling_edge_exists(Hypergraph(2, coeff_from_edges(0, frozenset())))
+    # at n = 24: a product, edge-free hypergraphs, and one coupling edge
+    # through the top vertex
+    assert not entangling_edge_exists(parse_anf_text("c 1\n0\n23\n"))
+    assert not entangling_edge_exists(parse_anf_text("c 0\n", vertex_count=24))
+    assert not entangling_edge_exists(parse_anf_text("c 1\n", vertex_count=24))
+    assert entangling_edge_exists(parse_anf_text("c 0\n0\n22 23\n"))
+
+
+# ANF text at n = 24 with edges up to vertex 23, the lowest coupling edge {1, 2}.
+ANF24 = "c 1\n0 23\n16 17 18 19 20\n3 9 21\n22\n5 16 23\n2 7 8 15 16 23\n1 2\n"
+
+
+def test_the_edge_test_builds_no_coefficient_wide_mask():
+    # The coefficient holds 2**24 bits (2 MiB); the test stops at the lowest
+    # level with a coupling edge, so it reads a few bits of it.
+    h = parse_anf_text(ANF24)
+    tracemalloc.start()
+    try:
+        assert entangling_edge_exists(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 10
 
 
 def test_ghz_hypergraph():
@@ -187,6 +212,59 @@ def test_parse_text_rejects_malformed_input():
         parse_anf_text("c 0\n0 0\n")
     with pytest.raises(ParseError):
         parse_anf_text("c 0\n1\n1\n")
+
+
+# Vertex tokens as the text form writes them, the low ones most often, and
+# more rarely other spellings `int` reads (`007` is 7, `+3` and `٣` are 3,
+# `1_0` is 10, `-0` is 0), negative ones, a bad one, vertex 24 and a vertex
+# far beyond the cap.
+_ANF_TOKENS = st.sampled_from(
+    [str(v) for v in range(8)] * 3
+    + [str(v) for v in range(MAX_N)]
+    + ["007", "+3", "1_0", "\u0663", "-0", "-1", "-4", "x", "24", str(10**12)]
+)
+
+
+@st.composite
+def anf_texts(draw):
+    # A line repeats a vertex or another line when spelled two ways, and up
+    # to twice a line gains a copy of one of its tokens or is copied whole.
+    line_tokens = st.lists(_ANF_TOKENS, min_size=1, max_size=5, unique=True)
+    lines = draw(st.lists(line_tokens, max_size=8, unique_by=tuple))
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        line = draw(st.sampled_from(lines))
+        if draw(st.booleans()):
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(line)))
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), list(line))
+    separator = draw(st.sampled_from([" ", "\t", "  "]))
+    header = draw(st.sampled_from(["c 0", "c 1"]))
+    return "".join(line + "\n" for line in [header, *map(separator.join, lines)])
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _library_read(text, vertex_count, max_n):
+    h = parse_anf_text(text, vertex_count, max_n)
+    return h.vertex_count, h.coeff, h.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(anf_texts(), st.none() | st.integers(1, MAX_N + 2), st.just(MAX_N) | st.integers(1, MAX_N))
+# A repeated vertex whose line also repeats an earlier monomial: the
+# repeat is reported, whether the mask carries onto the earlier one's
+# (1 + 2 + 2 is the mask of {0, 2}) or the line names a vertex of 24 or more.
+@example("c 0\n0 2\n0 1 1\n", None, MAX_N)
+@example("c 0\n0 30\n30 0 0\n", None, MAX_N)
+def test_parse_text_matches_the_line_by_line_reference(text, vertex_count, max_n):
+    # The same hypergraph, in the same edge order, or the same error.
+    expected = _outcome(read_anf_text, text, vertex_count, max_n)
+    assert _outcome(_library_read, text, vertex_count, max_n) == expected
 
 
 @given(hypergraphs())
@@ -322,15 +400,15 @@ def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte():
 
 
 # ---------------------------------------------------------------------------
-# a sparse edge list in the spelling `render_anf_text` writes is kept as
-# parsed, so listing its edges decodes nothing
+# a sparse edge list is kept as parsed, whatever its spelling, so listing
+# its edges decodes nothing
 
 
 @pytest.mark.parametrize("count", [5, 15])
 def test_sparse_canonical_anf_keeps_its_edges_as_parsed(count, monkeypatch):
     # 5 edges are packed by OR-ing shifted ones, 15 through a byte array.
-    # Vertex 7 spelled `007` sends the same hypergraph through the line by
-    # line fallback, which decodes the edges from the coefficient.
+    # Vertex 7 spelled `007` is read through `int`, and the hypergraph it
+    # gives keeps its edges as parsed too.
     rng = random.Random(count)
     edges = {(23,), (1, 7), (3, 8, 16, 22, 23)}
     while len(edges) < count:
@@ -347,6 +425,8 @@ def test_sparse_canonical_anf_keeps_its_edges_as_parsed(count, monkeypatch):
     assert seeded == tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
     spelled = text.replace("1 7\n", "1 007\n")
     assert spelled != text
-    fallback = parse_anf_text(spelled)
-    assert fallback == h
-    assert fallback.edges == seeded
+    with monkeypatch.context() as patch:
+        patch.setattr(boolfn, "_set_bits", _refuse)
+        respelled = parse_anf_text(spelled)
+        assert respelled.edges == seeded
+    assert respelled == h

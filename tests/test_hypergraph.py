@@ -201,6 +201,12 @@ def test_parse_text_refuses_vertex_counts_above_the_cap():
         parse_anf_text("c 1\n", vertex_count=25)
     with pytest.raises(ValueError, match="arity 26 exceeds the configured cap 10"):
         parse_anf_text("c 0\n0 25\n", max_n=10)
+    # max_n lowers the cap and cannot raise it: a vertex far beyond the
+    # cap would otherwise be shifted into a coefficient of 2**(v + 1) bits
+    with pytest.raises(ValueError, match="arity 25 exceeds the configured cap 24"):
+        parse_anf_text("c 1\n", vertex_count=25, max_n=30)
+    with pytest.raises(ValueError, match="arity 41 exceeds the configured cap 24"):
+        parse_anf_text("c 0\n0 40\n", max_n=50)
 
 
 def test_parse_text_rejects_malformed_input():

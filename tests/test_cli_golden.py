@@ -7,14 +7,14 @@ n=24, dense at n=12) and the common error paths, among them input above
 a lowered --max-n or PILME_MAX_N.  ANF text rows pin which error wins
 when several lines are faulty, vertices spelled in other ways that `int`
 reads (`007`, `+3`, `1_0`), other separators (tab, CRLF, form feed) and
-a 5,000-digit vertex.  Rows above
-the 2**18-entry block size pin ANF output at n=20 and n=22, `dj` at n=20,
-`sat-quantum` at n=19 and n=20, and compiled formulas and DIMACS at n=22
-and n=24; `sat`, `dj` and `helstrom` answer at the cap, n=24.  One
-library digest pins the verdict, witness and trace of both SAT pipelines
-on every function with n <= 3, another pins the published JSON
-schemas, and one digest per script pins its stdout.  A refactor of the library must leave every row
-unchanged.
+a 5,000-digit vertex.  Rows above the 2**18-entry block size pin ANF
+output at n=20 and n=22, `dj` at n=20 and n=22, `sat-quantum` at n=19,
+n=20 and n=22, and compiled formulas and DIMACS at n=22 and n=24; `sat`,
+`dj`, `sat-quantum` and `helstrom` answer at the cap, n=24.  One library
+digest pins the verdict, witness and trace of both SAT pipelines on every
+function with n <= 3, another pins the published JSON schemas, and one
+digest per script pins its stdout.  A refactor of the library must leave
+every row unchanged.
 """
 
 import argparse
@@ -258,6 +258,11 @@ CASES = [
     (["hypergraph", "--format", "anf", "c 1\n0\n23\n", "--json"], None),
     (["hypergraph", "--format", "anf", "c 0", "--n", "24", "--json"], None),
     (["hypergraph", "--format", "anf", ANF24.replace("\n1 2\n", "\n1 02\n"), "--json"], None),
+    # the simulator on its own register width: every sat-quantum stage at the
+    # cap, the product test settling at n = 22, and a balanced DJ at n = 22
+    (["sat-quantum", "x1 & !x1", "--n", "24", "--json"], None),
+    (["sat-quantum", "x3 & x7", "--n", "22"], None),
+    (["dj", "x2 ^ x22", "--n", "22", "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -397,6 +402,9 @@ EXPECTED = [
     (0, 'b236dbf44d42adf46dc2b46052bb6bb0edfe49e099dbcd56a0503f5a205bbc27', ''),
     (0, 'b8acc217d3834da9153ec125de5a485938af0521d320c72d249f832bef81df6b', ''),
     (0, '37676303e116836e565bcc1d926854da24bd45acd0f0a6269982a8ee65c8fe51', ''),
+    (0, 'df1145a9543e69d0b4390a72954347db051f9d9f4748a48d7511fa78adff1fee', ''),
+    (0, '5e5e7172c8770860a6ce8f6d907845946c3f54e0a801ee4cf7178d5745b22669', ''),
+    (0, '8d72c5b93941a28a0b9ff98c7d7412e6d2af13a236629f915d7b825d65bfe6fc', ''),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).

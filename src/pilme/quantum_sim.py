@@ -3,9 +3,11 @@
 The one gate the pipelines apply is the bit-flip oracle U_f, an amplitude
 permutation, so a state is an int32 vector a with one exponent e, standing
 for a * 2**(-e/2), and every outcome probability is an exact dyadic
-rational: nothing is rounded.  The all-zeros outcome after a Hadamard
-layer is read as one amplitude, <0...0|H...H|psi> = <+...+|psi>, the
-scaled sum of the amplitudes, so the layer itself never runs.
+rational: nothing is rounded.  Only the +-1 oracle register inside
+`prepare_psi_f` is int8; every state a caller builds or receives is int32.
+The all-zeros outcome after a Hadamard layer is read as one amplitude,
+<0...0|H...H|psi> = <+...+|psi>, the scaled sum of the amplitudes, so the
+layer itself never runs.
 
 A `StateVector` built by a caller is checked once, as it is constructed;
 the arrays this module allocates itself are normalized by construction
@@ -37,7 +39,8 @@ class PromiseViolationError(ValueError):
 @dataclass(frozen=True)
 class StateVector:
     """The state amplitudes * 2**(-exponent/2) over 2**qubit_count basis
-    states, held as int32 amplitudes whose squares sum to 2**exponent.
+    states, held as int32 amplitudes whose squares sum to 2**exponent
+    (int8 only for the oracle register `prepare_psi_f` keeps to itself).
 
     Instances are immutable; gate application returns a new vector.  The
     constructor copies the amplitudes and checks the shape, the dtype, the
@@ -69,7 +72,7 @@ class StateVector:
 
 
 def _built(qubit_count: int, amps: np.ndarray, exponent: int) -> StateVector:
-    """Wrap an int32 array this module has just allocated, normalized by
+    """Wrap an array this module has just allocated, normalized by
     construction, as a read-only state without the constructor's checks."""
     amps.flags.writeable = False
     sv = object.__new__(StateVector)
@@ -104,7 +107,8 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
 
     The register x is read from the non-ancilla qubits in increasing
     position order.  The gate is a permutation of amplitudes, so the
-    exponent is unchanged.
+    exponent is unchanged, and so is the dtype: int32 for a caller's
+    state, int8 for the register inside `prepare_psi_f`.
     """
     n = f.arity
     if sv.qubit_count != n + 1:
@@ -114,13 +118,14 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
     # Index (high, y, low), with low below the ancilla, holds |x = high * 2**a
     # + low>|y>, so f's table in the shape (high, low) lines up with both
     # halves.  The halves swap wherever f(x) is 1: XOR each with the masked
-    # XOR of the two, so no branch.
+    # XOR of the two, so no branch.  The 0/1 flips are viewed as int8: as
+    # uint8 they would mask an int8 register through a widening loop, ~4x slower.
     shape = (1 << (n - ancilla_index), 2, 1 << ancilla_index)
-    flips = _bit_array(f.table, 1 << n).reshape(shape[0], shape[2])
+    flips = _bit_array(f.table, 1 << n).reshape(shape[0], shape[2]).view(np.int8)
     before = sv.amplitudes.reshape(shape)
     swap = before[:, 0, :] ^ before[:, 1, :]
     swap *= flips
-    amps = np.empty(1 << (n + 1), dtype=np.int32)
+    amps = np.empty(1 << (n + 1), dtype=before.dtype)
     after = amps.reshape(shape)
     np.bitwise_xor(before[:, 0, :], swap, out=after[:, 0, :])
     np.bitwise_xor(before[:, 1, :], swap, out=after[:, 1, :])
@@ -136,16 +141,17 @@ def prepare_psi_f(f: BooleanFunction) -> StateVector:
     state of f sign for sign.
     """
     n = f.arity
-    # At MAX_N = 24 the 2**25 int32 amplitudes (state plus ancilla) are 128 MiB.
+    # At MAX_N = 24 the 2**25 int8 amplitudes (state plus ancilla) are 32 MiB.
     check_arity(n)
     half = 1 << n
-    amps = np.ones(2 * half, dtype=np.int32)
+    amps = np.empty(2 * half, dtype=np.int8)
+    amps[:half] = 1
     amps[half:] = -1
     after = apply_uf(_built(n + 1, amps, n + 1), f, n)
     lower = after.amplitudes[:half]
     if not np.array_equal(after.amplitudes[half:], -lower):
         raise RuntimeError("ancilla failed to decouple")
-    return _built(n, lower.copy(), n)
+    return _built(n, lower.astype(np.int32), n)
 
 
 def signs_from_state(sv: StateVector) -> BooleanFunction:

@@ -66,6 +66,26 @@ def test_traced_cli_runs_keep_the_paper_s_oracle_counts(perfbench):
     assert sat and max(sat.values()) <= 2
 
 
+def test_traced_dj_peaks_at_the_int32_psi_f(perfbench):
+    # The oracle register inside prepare_psi_f is int8, so the largest state
+    # a traced dj returns is the int32 psi_f, 4 bytes a sign.  sat-quantum is
+    # left out: its int32 ancilla readout is 8 bytes a sign.
+    ops, tracing = perfbench
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for f in _tables(3):
+            if classify(f).kind == "neither":
+                continue
+            slot = {"text": to_table_hex(f), "fmt": "table-hex", "n": f.arity, "json": True, "cmd": "dj"}
+            rc, out, err = ops.run_cli(pilme.cli, ops.cli_argv(slot))
+            assert rc == 0, (slot, err)
+    finally:
+        tracer.uninstall()
+    assert set(tracer.descendant_counts("quantum_sim.deutsch_jozsa", "quantum_sim.apply_uf").values()) == {1}
+    assert tracer.amplitude_bytes_peak == 4 << 3
+
+
 def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
     # The harness's own inputs, expected answers and output checker, on
     # every command and output form of the hypergraph workload, on dense

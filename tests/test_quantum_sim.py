@@ -112,9 +112,11 @@ def test_basis_state_rejects_a_register_without_qubits():
 # states the module builds itself, which skip the constructor's checks
 
 
-def _assert_well_formed(sv):
+def _assert_well_formed(sv, dtype=np.int32):
+    # Only prepare_psi_f's own oracle register is int8; every state a caller
+    # builds or receives is int32.
     amps = sv.amplitudes
-    assert amps.dtype == np.int32
+    assert amps.dtype == dtype
     assert amps.shape == (1 << sv.qubit_count,)
     assert not amps.flags.writeable
     assert int(amps.astype(np.int64) @ amps) == 1 << sv.exponent
@@ -150,8 +152,9 @@ def test_every_state_prepare_psi_f_builds_is_normalized_and_read_only(monkeypatc
         assert (start.qubit_count, start.exponent) == (n + 1, n + 1)
         assert (after.qubit_count, after.exponent) == (n + 1, n + 1)
         assert (psi.qubit_count, psi.exponent) == (n, n)
-        for sv in (start, after, psi):
-            _assert_well_formed(sv)
+        _assert_well_formed(start, np.int8)
+        _assert_well_formed(after, np.int8)
+        _assert_well_formed(psi)
 
 
 def test_basis_states_and_oracle_outputs_are_normalized_and_read_only():
@@ -245,6 +248,36 @@ def test_apply_uf_matches_the_index_permutation_at_every_ancilla_position():
             sv = _random_state(rng, n + 1)
             expected = permuted_oracle(sv.amplitudes, f.table, n, ancilla)
             assert np.array_equal(apply_uf(sv, f, ancilla).amplitudes, expected)
+
+
+def _index_gather(amps, table, n, ancilla):
+    """permuted_oracle's index permutation as one numpy gather, for widths
+    where its per-entry shift of the whole table would take minutes."""
+    i = np.arange(len(amps))
+    x = (i & ((1 << ancilla) - 1)) | ((i >> (ancilla + 1)) << ancilla)
+    raw = np.frombuffer(table.to_bytes(1 << max(n - 3, 0), "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[: 1 << n].astype(np.int64)
+    return amps[i ^ (bits[x] << ancilla)]
+
+
+def test_apply_uf_on_an_int8_register_is_exact():
+    # prepare_psi_f runs the oracle on an int8 +-1 register: the gate must
+    # keep that dtype and permute it exactly as it permutes the int32 state.
+    rng = np.random.default_rng(67)
+    tables = random.Random(67)
+    cases = [BooleanFunction(n, table) for n in range(1, 4) for table in range(1 << (1 << n))]
+    cases += [BooleanFunction(n, tables.getrandbits(1 << n)) for n in (12, 20)]
+    for f in cases:
+        n = f.arity
+        reference = permuted_oracle if n <= 12 else _index_gather
+        for ancilla in range(n + 1):
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), 1 << (n + 1))
+            out = apply_uf(quantum_sim._built(n + 1, signs, n + 1), f, ancilla)
+            wide = apply_uf(StateVector(n + 1, signs.astype(np.int32), n + 1), f, ancilla)
+            assert out.amplitudes.dtype == np.int8
+            assert (out.qubit_count, out.exponent) == (n + 1, n + 1)
+            assert np.array_equal(out.amplitudes, wide.amplitudes)
+            assert np.array_equal(out.amplitudes, reference(signs, f.table, n, ancilla))
 
 
 def test_apply_hadamard_matches_the_kron_matrix_on_every_qubit():
@@ -434,6 +467,23 @@ def test_zero_outcome_probability_peak_memory_stays_near_the_state_size(n):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ancilla_state_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("stage", [prepare_psi_f, zero_outcome_probability])
+def test_balanced_preparation_at_the_cap_peaks_near_the_int32_psi_f(stage):
+    # The oracle register is int8, so the peak is the int32 psi_f the stage
+    # returns or sums plus the int8 register and scratch: 2.5 times psi_f
+    # leaves room for neither an int32 register nor an int32 oracle output.
+    n = 24
+    f = BooleanFunction(n, _cap_table("balanced", n))
+    psi_bytes = 4 << n
+    tracemalloc.start()
+    try:
+        stage(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * psi_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

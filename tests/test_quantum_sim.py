@@ -472,7 +472,7 @@ def test_zero_outcome_probability_peak_memory_stays_near_the_state_size(n):
 @pytest.mark.parametrize("stage", [prepare_psi_f, zero_outcome_probability])
 def test_balanced_preparation_at_the_cap_peaks_near_the_int32_psi_f(stage):
     # The oracle register is int8, so the peak is the int32 psi_f the stage
-    # returns or sums plus the int8 register and scratch: 2.5 times psi_f
+    # returns or sums plus the int8 register and temporaries: 2.5 times psi_f
     # leaves room for neither an int32 register nor an int32 oracle output.
     n = 24
     f = BooleanFunction(n, _cap_table("balanced", n))

@@ -3,11 +3,14 @@
 The one gate the pipelines apply is the bit-flip oracle U_f, an amplitude
 permutation, so a state is an int32 vector a with one exponent e, standing
 for a * 2**(-e/2), and every outcome probability is an exact dyadic
-rational: nothing is rounded.  Only the +-1 oracle register inside
-`prepare_psi_f` is int8; every state a caller builds or receives is int32.
-The all-zeros outcome after a Hadamard layer is read as one amplitude,
-<0...0|H...H|psi> = <+...+|psi>, the scaled sum of the amplitudes, so the
-layer itself never runs.
+rational: nothing is rounded.  Each pipeline prepares psi_f once, on a
++-1 int8 oracle register the gate permutes tile by tile, and reads its
+int8 half only inside this module: every state a caller builds or
+receives is int32.  At n = 24 `algorithm1_end_to_end` peaks at 67 MiB and
+`prepare_psi_f` at 96 MiB.  The all-zeros outcome after a Hadamard layer
+is read as one amplitude, <0...0|H...H|psi> = <+...+|psi>, the scaled sum
+of the amplitudes, and the ancilla readout on a basis state is simulated
+on its one-element support, so neither runs on a full register.
 
 A `StateVector` built by a caller is checked once, as it is constructed;
 the arrays this module allocates itself are normalized by construction
@@ -22,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction, check_arity, classify
+from .boolfn import _BLOCK_BITS, MAX_N, BooleanFunction, check_arity, classify, evaluate
 from .lme_state import is_osm
 from .reductions import SatVerdict, TraceStep
 
@@ -40,7 +43,7 @@ class PromiseViolationError(ValueError):
 class StateVector:
     """The state amplitudes * 2**(-exponent/2) over 2**qubit_count basis
     states, held as int32 amplitudes whose squares sum to 2**exponent
-    (int8 only for the oracle register `prepare_psi_f` keeps to itself).
+    (int8 only for the oracle register this module keeps to itself).
 
     Instances are immutable; gate application returns a new vector.  The
     constructor copies the amplitudes and checks the shape, the dtype, the
@@ -80,17 +83,6 @@ def _built(qubit_count: int, amps: np.ndarray, exponent: int) -> StateVector:
     return sv
 
 
-def _bit_array(packed: int, count: int) -> np.ndarray:
-    nbytes = (count + 7) // 8
-    raw = packed.to_bytes(nbytes, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:count]
-
-
-def _pack_bits(bits: np.ndarray) -> int:
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def basis_state(qubit_count: int, index: int) -> StateVector:
     """Computational basis state |index>."""
     if qubit_count < 1:
@@ -108,7 +100,9 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
     The register x is read from the non-ancilla qubits in increasing
     position order.  The gate is a permutation of amplitudes, so the
     exponent is unchanged, and so is the dtype: int32 for a caller's
-    state, int8 for the register inside `prepare_psi_f`.
+    state, int8 for the oracle register this module keeps to itself.
+    It runs on 2**_BLOCK_BITS inputs x at a time, so it allocates only its
+    output beyond per-tile temporaries.
     """
     n = f.arity
     if sv.qubit_count != n + 1:
@@ -116,20 +110,47 @@ def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVe
     if not 0 <= ancilla_index <= n:
         raise ValueError("ancilla index out of range")
     # Index (high, y, low), with low below the ancilla, holds |x = high * 2**a
-    # + low>|y>, so f's table in the shape (high, low) lines up with both
+    # + low>|y>, so a run of x lines up with a block of (high, low) in both
     # halves.  The halves swap wherever f(x) is 1: XOR each with the masked
     # XOR of the two, so no branch.  The 0/1 flips are viewed as int8: as
     # uint8 they would mask an int8 register through a widening loop, ~4x slower.
     shape = (1 << (n - ancilla_index), 2, 1 << ancilla_index)
-    flips = _bit_array(f.table, 1 << n).reshape(shape[0], shape[2]).view(np.int8)
-    before = sv.amplitudes.reshape(shape)
-    swap = before[:, 0, :] ^ before[:, 1, :]
-    swap *= flips
-    amps = np.empty(1 << (n + 1), dtype=before.dtype)
-    after = amps.reshape(shape)
-    np.bitwise_xor(before[:, 0, :], swap, out=after[:, 0, :])
-    np.bitwise_xor(before[:, 1, :], swap, out=after[:, 1, :])
+    amps = np.empty(1 << (n + 1), dtype=sv.amplitudes.dtype)
+    before, after = sv.amplitudes.reshape(shape), amps.reshape(shape)
+    raw = np.frombuffer(f.table.to_bytes(max(f.size >> 3, 1), "little"), dtype=np.uint8)
+    tile = min(f.size, 1 << _BLOCK_BITS)
+    rows = max(tile >> ancilla_index, 1)
+    cols = tile // rows
+    for start in range(0, f.size, tile):
+        bits = np.unpackbits(raw[start >> 3 : (start + tile + 7) >> 3], bitorder="little")
+        flips = bits[:tile].view(np.int8).reshape(rows, cols)
+        high, low = divmod(start, shape[2])
+        x = np.s_[high : high + rows, low : low + cols]
+        lower, upper = before[:, 0, :][x], before[:, 1, :][x]
+        swap = lower ^ upper
+        swap *= flips
+        np.bitwise_xor(lower, swap, out=after[:, 0, :][x])
+        np.bitwise_xor(upper, swap, out=after[:, 1, :][x])
     return _built(n + 1, amps, sv.exponent)
+
+
+def _psi_f(f: BooleanFunction) -> StateVector:
+    """`prepare_psi_f`'s state as the int8 lower half of the oracle output,
+    which would wrap under a caller's arithmetic, so it stays in the module."""
+    n = f.arity
+    # At MAX_N = 24 the 2**25 int8 amplitudes (state plus ancilla) are 32 MiB.
+    check_arity(n)
+    half = 1 << n
+    amps = np.empty(2 * half, dtype=np.int8)
+    amps[:half] = 1
+    amps[half:] = -1
+    after = apply_uf(_built(n + 1, amps, n + 1), f, n).amplitudes
+    lower, upper = after[:half], after[half:]
+    tile = 1 << _BLOCK_BITS
+    for start in range(0, half, tile):
+        if not np.array_equal(upper[start : start + tile], -lower[start : start + tile]):
+            raise RuntimeError("ancilla failed to decouple")
+    return _built(n, lower, n)
 
 
 def prepare_psi_f(f: BooleanFunction) -> StateVector:
@@ -138,20 +159,10 @@ def prepare_psi_f(f: BooleanFunction) -> StateVector:
 
     The returned n-qubit vector has amplitudes (-1)**f(i) and exponent n,
     so it stands for (-1)**f(i) / sqrt(2**n), matching the packed sign
-    state of f sign for sign.
+    state of f sign for sign.  It is widened to int32 on return.
     """
-    n = f.arity
-    # At MAX_N = 24 the 2**25 int8 amplitudes (state plus ancilla) are 32 MiB.
-    check_arity(n)
-    half = 1 << n
-    amps = np.empty(2 * half, dtype=np.int8)
-    amps[:half] = 1
-    amps[half:] = -1
-    after = apply_uf(_built(n + 1, amps, n + 1), f, n)
-    lower = after.amplitudes[:half]
-    if not np.array_equal(after.amplitudes[half:], -lower):
-        raise RuntimeError("ancilla failed to decouple")
-    return _built(n, lower.astype(np.int32), n)
+    psi = _psi_f(f)
+    return _built(psi.qubit_count, psi.amplitudes.astype(np.int32), psi.exponent)
 
 
 def signs_from_state(sv: StateVector) -> BooleanFunction:
@@ -159,7 +170,8 @@ def signs_from_state(sv: StateVector) -> BooleanFunction:
     magnitude = abs(int(sv.amplitudes[0]))
     if (np.abs(sv.amplitudes) != magnitude).any():
         raise ValueError("amplitudes are not an equal-weight sign pattern")
-    return BooleanFunction(sv.qubit_count, _pack_bits(sv.amplitudes < 0))
+    packed = np.packbits(sv.amplitudes < 0, bitorder="little")
+    return BooleanFunction(sv.qubit_count, int.from_bytes(packed.tobytes(), "little"))
 
 
 def zero_outcome_probability(f: BooleanFunction) -> float:
@@ -169,9 +181,8 @@ def zero_outcome_probability(f: BooleanFunction) -> float:
     layer's unscaled amplitude 0, at exponent 2n.  So this is
     W_f(0)**2 / 2**(2n) = ((2**n - 2|f|) / 2**n)**2, exact in a float
     because W_f(0)**2 <= 2**48 < 2**53 at MAX_N = 24."""
-    sv = prepare_psi_f(f)
-    w = int(sv.amplitudes.sum(dtype=np.int64))
-    return math.ldexp(w * w, -2 * sv.qubit_count)
+    w = int(_psi_f(f).amplitudes.sum(dtype=np.int64))
+    return math.ldexp(w * w, -2 * f.arity)
 
 
 def deutsch_jozsa(f: BooleanFunction) -> tuple[Literal["constant", "balanced"], float]:
@@ -196,12 +207,16 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
     the simulated sign pattern (the membership device itself cannot exist
     physically, so the check is classical by necessity), split constant
     from balanced, and finally read the ancilla after one oracle call on
-    the all-zeros input.  Like `reductions.turing_reduce_sat`, it ends
-    through `SatVerdict`'s two constructors, whose one `sat_brute` witness
-    lookup ROADMAP item 3 replaces with one read off the oracle's evidence.
+    the all-zeros input.  psi_f is prepared once: a product sign state is
+    constant or balanced, so the split is W_f(0), the sum of psi_f, with
+    no promise check, and U_f|0...0>|0> = |0...0>|f(0)> is simulated on
+    its one-element support as one point evaluation.  Like
+    `reductions.turing_reduce_sat`, it ends through `SatVerdict`'s two
+    constructors, whose one `sat_brute` witness lookup ROADMAP item 4
+    replaces with one read off the oracle's evidence.
     """
     trace: list[TraceStep] = []
-    psi = prepare_psi_f(f)
+    psi = _psi_f(f)
     trace.append(
         TraceStep("prepare", 0, None, "oracle applied once to the plus register with a minus ancilla")
     )
@@ -210,12 +225,10 @@ def algorithm1_end_to_end(f: BooleanFunction) -> SatVerdict:
     trace.append(
         TraceStep("product_test", 1, None, "simulated state is a product: f is constant or balanced")
     )
-    outcome, _ = deutsch_jozsa(f)
-    if outcome == "balanced":
+    if not psi.amplitudes.sum(dtype=np.int64):
         return SatVerdict.satisfiable_at(f, trace, "deutsch_jozsa", 1, "balanced")
     trace.append(TraceStep("deutsch_jozsa", 1, None, "constant"))
-    readout = apply_uf(basis_state(f.arity + 1, 0), f, f.arity)
-    value = int(readout.amplitudes[1 << f.arity] != 0)
+    value = evaluate(f, 0)
     return SatVerdict.value_at_zero(trace, "ancilla_readout", 1, value, f"ancilla reads {value}")
 
 

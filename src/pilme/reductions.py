@@ -74,7 +74,7 @@ def turing_reduce_sat(f: BooleanFunction) -> SatVerdict:
 
     The pipeline only decides: it ends through `SatVerdict.satisfiable_at`
     or `SatVerdict.value_at_zero`, and the first takes the witness from
-    `sat_brute`: ROADMAP item 3 replaces that one lookup with a witness
+    `sat_brute`: ROADMAP item 4 replaces that one lookup with a witness
     read off the membership test's own evidence.
     """
     trace: list[TraceStep] = []

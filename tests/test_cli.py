@@ -149,6 +149,33 @@ def test_dj_simulates_the_circuit_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "formula, satisfiable, deciding_step",
+    [
+        ("x1 & !x1", False, "ancilla_readout"),
+        ("x1 | !x1", True, "ancilla_readout"),
+        ("x1 ^ x2 ^ x3", True, "deutsch_jozsa"),
+        ("x1 | x2", True, "product_test"),
+    ],
+)
+def test_sat_quantum_simulates_the_oracle_once(capsys, monkeypatch, formula, satisfiable, deciding_step):
+    # One preparation serves every stage: the split reads the prepared state
+    # and the readout is simulated on its support, so no second circuit runs.
+    calls = []
+    apply_uf = quantum_sim.apply_uf
+
+    def refuse(*args):
+        raise AssertionError("sat-quantum ran a second circuit")
+
+    monkeypatch.setattr(quantum_sim, "apply_uf", lambda *a: calls.append(a) or apply_uf(*a))
+    monkeypatch.setattr(quantum_sim, "basis_state", refuse)
+    monkeypatch.setattr(quantum_sim, "deutsch_jozsa", refuse)
+    payload = run_json(capsys, ["sat-quantum", formula, "--json"])
+    assert payload["satisfiable"] is satisfiable
+    assert [s["step"] for s in payload["trace"] if s["verdict"]] == [deciding_step]
+    assert len(calls) == 1
+
+
 def test_helstrom(capsys):
     payload = run_json(capsys, ["helstrom", "--unique-sat-pair", "--n", "2", "--json"])
     validate("helstrom", payload)

@@ -44,7 +44,6 @@ from .quantum_sim import (
     StateVector,
     algorithm1_end_to_end,
     apply_uf,
-    basis_state,
     deutsch_jozsa,
     helstrom_error,
     helstrom_error_copies,

@@ -1,16 +1,17 @@
 """Exact integer statevector simulation of the oracle circuits.
 
-The one gate the pipelines apply is the bit-flip oracle U_f, an amplitude
-permutation, so a state is an int32 vector a with one exponent e, standing
-for a * 2**(-e/2), and every outcome probability is an exact dyadic
-rational: nothing is rounded.  Each pipeline prepares psi_f once, on a
-+-1 int8 oracle register the gate permutes tile by tile, and reads its
-int8 half only inside this module: every state a caller builds or
-receives is int32.  At n = 24 `algorithm1_end_to_end` peaks at 67 MiB and
-`prepare_psi_f` at 96 MiB.  The all-zeros outcome after a Hadamard layer
-is read as one amplitude, <0...0|H...H|psi> = <+...+|psi>, the scaled sum
-of the amplitudes, and the ancilla readout on a basis state is simulated
-on its one-element support, so neither runs on a full register.
+The one gate the pipelines apply is the bit-flip oracle U_f, with the
+ancilla as the top qubit.  It permutes amplitudes, so a state is an int32
+vector a with one exponent e, standing for a * 2**(-e/2), and every
+outcome probability is an exact dyadic rational: nothing is rounded.
+Each pipeline prepares psi_f once, on a +-1 int8 oracle register the gate
+permutes tile by tile, and reads its int8 half only inside this module:
+every state a caller builds or receives is int32.  At n = 24
+`algorithm1_end_to_end` peaks at 67 MiB and `prepare_psi_f` at 96 MiB.
+The all-zeros outcome after a Hadamard layer is read as one amplitude,
+<0...0|H...H|psi> = <+...+|psi>, the scaled sum of the amplitudes, and
+the ancilla readout on a basis state is simulated on its one-element
+support, so neither runs on a full register.
 
 A `StateVector` built by a caller is checked once, as it is constructed;
 the arrays this module allocates itself are normalized by construction
@@ -83,54 +84,35 @@ def _built(qubit_count: int, amps: np.ndarray, exponent: int) -> StateVector:
     return sv
 
 
-def basis_state(qubit_count: int, index: int) -> StateVector:
-    """Computational basis state |index>."""
-    if qubit_count < 1:
-        raise ValueError("qubit_count must be at least 1")
-    if not 0 <= index < (1 << qubit_count):
-        raise ValueError("basis index out of range")
-    amps = np.zeros(1 << qubit_count, dtype=np.int32)
-    amps[index] = 1
-    return _built(qubit_count, amps, 0)
+def apply_uf(sv: StateVector, f: BooleanFunction) -> StateVector:
+    """Oracle gate |x>|y> -> |x>|y xor f(x)>, with the ancilla y on top:
+    it is index bit n, so the state's halves are |x>|0> and |x>|1>.
 
-
-def apply_uf(sv: StateVector, f: BooleanFunction, ancilla_index: int) -> StateVector:
-    """Oracle gate |x>|y> -> |x>|y xor f(x)>.
-
-    The register x is read from the non-ancilla qubits in increasing
-    position order.  The gate is a permutation of amplitudes, so the
-    exponent is unchanged, and so is the dtype: int32 for a caller's
-    state, int8 for the oracle register this module keeps to itself.
-    It runs on 2**_BLOCK_BITS inputs x at a time, so it allocates only its
-    output beyond per-tile temporaries.
+    The gate is a permutation of amplitudes, so the exponent is unchanged,
+    and so is the dtype: int32 for a caller's state, int8 for the oracle
+    register this module keeps to itself.  It runs on 2**_BLOCK_BITS
+    inputs x at a time and frees each tile's temporaries before the next
+    tile allocates, so it allocates only its output beyond one tile.
     """
     n = f.arity
     if sv.qubit_count != n + 1:
         raise ValueError("state must have one more qubit than the function arity")
-    if not 0 <= ancilla_index <= n:
-        raise ValueError("ancilla index out of range")
-    # Index (high, y, low), with low below the ancilla, holds |x = high * 2**a
-    # + low>|y>, so a run of x lines up with a block of (high, low) in both
-    # halves.  The halves swap wherever f(x) is 1: XOR each with the masked
-    # XOR of the two, so no branch.  The 0/1 flips are viewed as int8: as
-    # uint8 they would mask an int8 register through a widening loop, ~4x slower.
-    shape = (1 << (n - ancilla_index), 2, 1 << ancilla_index)
+    # The halves swap wherever f(x) is 1: XOR each with the masked XOR of the
+    # two, so no branch.  The 0/1 flips are viewed as int8: as uint8 they
+    # would mask an int8 register through a widening loop, ~4x slower.
     amps = np.empty(1 << (n + 1), dtype=sv.amplitudes.dtype)
-    before, after = sv.amplitudes.reshape(shape), amps.reshape(shape)
+    before, after = sv.amplitudes.reshape(2, f.size), amps.reshape(2, f.size)
     raw = np.frombuffer(f.table.to_bytes(max(f.size >> 3, 1), "little"), dtype=np.uint8)
     tile = min(f.size, 1 << _BLOCK_BITS)
-    rows = max(tile >> ancilla_index, 1)
-    cols = tile // rows
     for start in range(0, f.size, tile):
-        bits = np.unpackbits(raw[start >> 3 : (start + tile + 7) >> 3], bitorder="little")
-        flips = bits[:tile].view(np.int8).reshape(rows, cols)
-        high, low = divmod(start, shape[2])
-        x = np.s_[high : high + rows, low : low + cols]
-        lower, upper = before[:, 0, :][x], before[:, 1, :][x]
+        x = np.s_[start : start + tile]
+        flips = np.unpackbits(raw[start >> 3 : (start + tile + 7) >> 3], bitorder="little")[:tile].view(np.int8)
+        lower, upper = before[:, x]
         swap = lower ^ upper
         swap *= flips
-        np.bitwise_xor(lower, swap, out=after[:, 0, :][x])
-        np.bitwise_xor(upper, swap, out=after[:, 1, :][x])
+        np.bitwise_xor(lower, swap, out=after[0, x])
+        np.bitwise_xor(upper, swap, out=after[1, x])
+        del flips, swap
     return _built(n + 1, amps, sv.exponent)
 
 
@@ -144,7 +126,7 @@ def _psi_f(f: BooleanFunction) -> StateVector:
     amps = np.empty(2 * half, dtype=np.int8)
     amps[:half] = 1
     amps[half:] = -1
-    after = apply_uf(_built(n + 1, amps, n + 1), f, n).amplitudes
+    after = apply_uf(_built(n + 1, amps, n + 1), f).amplitudes
     lower, upper = after[:half], after[half:]
     tile = 1 << _BLOCK_BITS
     for start in range(0, half, tile):

@@ -243,16 +243,23 @@ def pointwise_certificate(table: int, n: int):
     return None
 
 
-def permuted_oracle(amps, table: int, n: int, ancilla: int):
-    """|x>|y> -> |x>|y xor f(x)> as an index permutation: entry i reads x
-    from the bits of i other than the ancilla, in increasing position
-    order, and takes the amplitude at i with the ancilla bit XORed by f(x)."""
+def permuted_oracle(amps, table: int, n: int):
+    """|x>|y> -> |x>|y xor f(x)> with the ancilla y on top, as an index
+    permutation: entry i reads x from its low n bits and takes the
+    amplitude at i with bit n XORed by f(x)."""
     out = np.empty_like(amps)
     for i in range(len(amps)):
-        low = i & ((1 << ancilla) - 1)
-        x = low | ((i >> (ancilla + 1)) << ancilla)
-        out[i] = amps[i ^ (((table >> x) & 1) << ancilla)]
+        x = i & ((1 << n) - 1)
+        out[i] = amps[i ^ (((table >> x) & 1) << n)]
     return out
+
+
+def basis_state(qubit_count: int, index: int) -> StateVector:
+    """Computational basis state |index>, built through the checked
+    `StateVector` constructor."""
+    amps = np.zeros(1 << qubit_count, dtype=np.int32)
+    amps[index] = 1
+    return StateVector(qubit_count, amps)
 
 
 def kron_hadamard(amps, n: int, qubit: int):

@@ -168,7 +168,6 @@ def test_sat_quantum_simulates_the_oracle_once(capsys, monkeypatch, formula, sat
         raise AssertionError("sat-quantum ran a second circuit")
 
     monkeypatch.setattr(quantum_sim, "apply_uf", lambda *a: calls.append(a) or apply_uf(*a))
-    monkeypatch.setattr(quantum_sim, "basis_state", refuse)
     monkeypatch.setattr(quantum_sim, "deutsch_jozsa", refuse)
     payload = run_json(capsys, ["sat-quantum", formula, "--json"])
     assert payload["satisfiable"] is satisfiable

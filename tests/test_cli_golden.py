@@ -2,9 +2,9 @@
 of a fixed set of invocations, pinned byte for byte.
 
 Every subcommand appears in text and --json form, together with the
-README examples, dense n=10, n=12 and n=14 tables, ANF text input (up to
-n=24, dense at n=12) and the common error paths, among them input above
-a lowered --max-n or PILME_MAX_N.  ANF text rows pin which error wins
+README examples, dense n=10, n=12, n=14 and n=16 tables, ANF text input
+(up to n=24, dense at n=12) and the common error paths, among them input
+above a lowered --max-n or PILME_MAX_N.  ANF text rows pin which error wins
 when several lines are faulty, vertices spelled in other ways that `int`
 reads (`007`, `+3`, `1_0`), other separators (tab, CRLF, form feed) and
 a 5,000-digit vertex.  Rows above the 2**18-entry block size pin ANF
@@ -56,11 +56,17 @@ _blocks = [hashlib.sha256(b"pilme golden n=14").digest()]
 while len(_blocks) < 64:
     _blocks.append(hashlib.sha256(_blocks[-1]).digest())
 DENSE14 = b"".join(_blocks).hex()
+# The same for 65536 entries: 256 chained blocks.
+_blocks = [hashlib.sha256(b"pilme golden n=16").digest()]
+while len(_blocks) < 256:
+    _blocks.append(hashlib.sha256(_blocks[-1]).digest())
+DENSE16 = b"".join(_blocks).hex()
 
 DIMACS_CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 HEX10 = ["--format", "table-hex", DENSE10, "--n", "10"]
 HEX12 = ["--format", "table-hex", DENSE12, "--n", "12"]
 HEX14 = ["--format", "table-hex", DENSE14, "--n", "14"]
+HEX16 = ["--format", "table-hex", DENSE16, "--n", "16"]
 D1 = ["--format", "table-hex", "d1", "--n", "3"]
 # p0 is printed to 17 digits, so these pin that the simulator's p0 is exact:
 # constant 1, and balanced but not affine (the lower half of DENSE10, then
@@ -263,6 +269,9 @@ CASES = [
     (["sat-quantum", "x1 & !x1", "--n", "24", "--json"], None),
     (["sat-quantum", "x3 & x7", "--n", "22"], None),
     (["dj", "x2 ^ x22", "--n", "22", "--json"], None),
+    # a dense n=16 hypergraph: about 32,000 edges in text form, both commands
+    (["anf", *HEX16], None),
+    (["hypergraph", *HEX16], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -405,6 +414,8 @@ EXPECTED = [
     (0, 'df1145a9543e69d0b4390a72954347db051f9d9f4748a48d7511fa78adff1fee', ''),
     (0, '5e5e7172c8770860a6ce8f6d907845946c3f54e0a801ee4cf7178d5745b22669', ''),
     (0, '8d72c5b93941a28a0b9ff98c7d7412e6d2af13a236629f915d7b825d65bfe6fc', ''),
+    (0, 'e0ddc9e506033825d1fb9461081f331c1cc0524a8bbdb36872c3d6d59de7759d', ''),
+    (0, 'e85a79879a56399ab559a779a9b555a2bffc3f905db4bae08bf4a53fc6da994c', ''),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).

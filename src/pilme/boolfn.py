@@ -21,12 +21,10 @@ from __future__ import annotations
 import functools
 import operator
 import re
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Literal, Optional
+from itertools import compress, groupby, repeat
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 # Cap on the arity of every function handed to the package, and the
 # command line's ceiling; a table at n = 24 occupies 2 MiB.  What the
@@ -104,22 +102,46 @@ class Hypergraph:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Each edge as its ascending vertices, ordered by size, then
         lexicographically; decoded from `coeff` once per value."""
-        # Through a list: a tuple grown from an iterator of unknown length is
-        # reallocated as it grows, which fragments the heap of a long run.
-        return tuple(list(self._decode_edges(_byte_vertices)))
+        if not self._lists_in_runs:
+            # Through a list: a tuple grown from an iterator of unknown length
+            # is reallocated as it grows, which fragments the heap of a long run.
+            return tuple(list(self._decode_edges(_byte_vertices)))
+        edges: list[tuple[int, ...]] = []
+        for low, _, highs, flags in self._edge_runs(False):
+            picked = compress(highs, flags)
+            edges += map(low.__add__, picked) if low else picked
+        return tuple(edges)
+
+    @property
+    def _lists_in_runs(self) -> bool:
+        # Whether the edges are listed through `_edge_runs`, at one edge or
+        # more per 8 coefficient bits, rather than sorted; the arity is tested
+        # first, as counting the edges reads every bit.
+        n, coeff = self.vertex_count, self.coeff
+        return n <= _DENSE_MAX_N and (coeff.bit_count() - (coeff & 1)) * 8 >= 1 << n
+
+    def _edge_runs(self, as_text: bool) -> Iterator[tuple[tuple[int, ...], str, Sequence, Sequence[int]]]:
+        # The edges of a dense coefficient in print order, one run at a time:
+        # its low vertices, the text that starts each of its lines, its high
+        # parts in order, as text or as vertex tuples, and a flag per high
+        # part saying which are edges, gathered from its low part's bits.
+        n = self.vertex_count
+        low_bits = min(n, _LOW_BITS)
+        high_bits = n - low_bits
+        # Byte m of flags is bit m of coeff: its binary digits, lowest first.
+        flags = f"{self.coeff:0{1 << n}b}"[::-1].encode().translate(_DIGIT_FLAGS)
+        by_low = [flags[low :: 1 << low_bits] for low in range(1 << low_bits)]
+        gathers = _run_gathers(high_bits)
+        parts = _high_text(high_bits) if as_text else _high_vertices(high_bits)
+        highs = [gather(parts) for gather in gathers]
+        for low, vertices, line_start, k in _run_plan(n):
+            yield vertices, line_start, highs[k], gathers[k](by_low[low])
 
     @cached_property
     def _edge_masks(self) -> list[int]:
-        # The edge masks in the order of `edges`.  A dense coefficient keeps
-        # the set ones of every possible mask, read in that order from one
-        # flag byte per coefficient bit; a sparse or wide one sorts its set
-        # bits.  `parse_anf_text` seeds a sparse one with the masks it read.
-        n, coeff = self.vertex_count, self.coeff & ~1
-        if _lists_dense(n, coeff.bit_count()):
-            # Byte m of flags is bit m of coeff: its binary digits, lowest first.
-            flags = f"{coeff:0{1 << n}b}"[::-1].encode().translate(_DIGIT_FLAGS)
-            return list(filter(flags.__getitem__, _edge_order(n)))
-        return _sort_edge_masks(_set_bits(coeff))
+        # The edge masks of a coefficient not listed in runs, in the order of
+        # `edges`.  `parse_anf_text` seeds a sparse one with the masks it read.
+        return _sort_edge_masks(_set_bits(self.coeff & ~1))
 
     def _decode_edges(self, byte_table: Callable[[int], tuple]) -> Iterator:
         # Each edge in order as byte_table(0)[b0] + byte_table(1)[b1] + ...
@@ -153,16 +175,17 @@ def _set_bits(packed: int) -> list[int]:
     return out
 
 
-# Dense edge listing keeps an order table for arities up to 16, whose
-# masks fit 16-bit lanes: 128 KiB at n = 16.
-_ORDER_MAX_N = 16
+# Dense edge listing, up to n = 16 at one edge or more per 8 coefficient
+# bits, splits each edge mask into a low part (vertices 0-3) and a high
+# part (vertices 4 and up).  In print order the edges come in runs of one
+# low part and one high-part size, at most 16 * (n - 3) of them, and inside
+# a run the high parts follow the order table of n - 4 vertices.  So order
+# tables are sorted only up to 12 vertices, and listing keeps the gathers
+# built from them and one run plan per arity, and the text of the 4,096
+# high parts: 0.8 MiB for every n <= 16 together.
+_DENSE_MAX_N = 16
+_LOW_BITS = 4
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _lists_dense(n: int, edge_count: int) -> bool:
-    # Whether edges over n vertices are listed through the order table, at
-    # one edge or more per 8 coefficient bits, rather than sorted.
-    return n <= _ORDER_MAX_N and edge_count * 8 >= 1 << n
 
 
 def _sort_edge_masks(masks: list[int]) -> list[int]:
@@ -174,28 +197,66 @@ def _sort_edge_masks(masks: list[int]) -> list[int]:
     return masks
 
 
+def _edge_order(n: int) -> list[int]:
+    """Every edge mask over n <= 12 vertices, by size, then by its vertex
+    tuple; kept only inside the gathers built from it."""
+    return _sort_edge_masks(list(range(1, 1 << n)))
+
+
 @functools.cache
-def _edge_order(n: int) -> array:
-    """Every edge mask over n <= 16 vertices, by size, then by its vertex
-    tuple; built in O(2**n) without sorting."""
-    # Tuple order puts the edges through vertex 0 first, so over one more
-    # vertex the size-s masks are 1 | m << 1 for the size-(s - 1) masks m,
-    # then m << 1 for the size-s ones.  Each size's masks are kept as the
-    # little-endian 16-bit lanes of one bytes object; read as one int, a
-    # shift or an OR acts on every lane at once.
-    by_size = [b"\0\0"]  # over no vertex: the empty mask
-    for _ in range(n):
-        through_first, others = [b""], []
-        for lanes in by_size:
-            doubled = int.from_bytes(lanes, "little") << 1
-            ones = int.from_bytes(b"\1\0" * (len(lanes) // 2), "little")
-            through_first.append((doubled | ones).to_bytes(len(lanes), "little"))
-            others.append(doubled.to_bytes(len(lanes), "little"))
-        by_size = list(map(operator.add, through_first, others + [b""]))
-    order = array("H", b"".join(by_size[1:]))
-    if sys.byteorder == "big":
-        order.byteswap()
-    return order
+def _run_gathers(high_bits: int) -> tuple[Callable[[Sequence], Sequence], ...]:
+    # For each size k, a gather that puts the size-k high masks over
+    # high_bits <= 12 vertices in order (the empty one for k = 0) out of a
+    # sequence indexed by high mask.  A size with one mask gets a slice, so
+    # that every gather returns a sequence.
+    gathers = []
+    for _, masks in groupby((0, *_edge_order(high_bits)), int.bit_count):
+        masks = tuple(masks)
+        one = slice(masks[0], masks[0] + 1)
+        gathers.append(operator.itemgetter(*masks) if len(masks) > 1 else operator.itemgetter(one))
+    return tuple(gathers)
+
+
+@functools.cache
+def _run_plan(n: int) -> tuple[tuple[int, tuple[int, ...], str, int], ...]:
+    # The runs of the edges over n <= 16 vertices in print order, each as its
+    # low mask, its low vertices, the text that starts its lines and the size
+    # of its high parts.  Print order is by size, then by vertex tuple, and a
+    # low part sorts after its own extensions: where it ends, they go on with
+    # a low vertex and it with a high one.
+    low_bits = min(n, _LOW_BITS)
+    high_bits = n - low_bits
+    vertices = [tuple(v for v in range(low_bits) if low >> v & 1) for low in range(1 << low_bits)]
+    lows = sorted(range(1 << low_bits), key=lambda low: (*vertices[low], low_bits))
+    plan = []
+    for size in range(1, n + 1):
+        for low in lows:
+            k = size - len(vertices[low])
+            if 0 <= k <= high_bits and (low or k):
+                line_start = "\n" + " ".join(map(str, vertices[low])) + (" " if low and k else "")
+                plan.append((low, vertices[low], line_start, k))
+    return tuple(plan)
+
+
+@functools.cache
+def _high_text(high_bits: int) -> tuple[str, ...]:
+    # Each high part over high_bits <= 12 vertices as text, indexed by its
+    # mask h: vertex 4 + j for each set bit j of h, spaces between them.
+    # Built from the next narrower table, so all widths share the strings.
+    if not high_bits:
+        return ("",)
+    below = _high_text(high_bits - 1)
+    top = str(_LOW_BITS + high_bits - 1)
+    return below + tuple(f"{part} {top}" if part else top for part in below)
+
+
+def _high_vertices(high_bits: int) -> list[tuple[int, ...]]:
+    # The same high parts as vertex tuples, built for each listing: one
+    # tuple join per high part, where kept they would hold another 0.4 MiB.
+    parts: list[tuple[int, ...]] = [()]
+    for v in range(_LOW_BITS, _LOW_BITS + high_bits):
+        parts += [part + (v,) for part in parts]
+    return parts
 
 
 @functools.cache

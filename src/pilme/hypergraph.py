@@ -5,13 +5,16 @@ The XOR polynomial of the generating function doubles as a hypergraph
 couples two or more qubits.  A truth table reaches its hypergraph only
 through the full subset-lattice transform (ANF text is one already), so
 the easy edge test does not shortcut the hard decision problem.  Given
-the hypergraph, one scan of the coefficients finds the lowest coupling
-edge, and it answers both the edge test (`entangling_edge_exists`) and
-the four-point certificate or the factors (`lme_state.membership_witness`).
+the hypergraph, one read of the single-vertex coefficients answers the
+edge test (`entangling_edge_exists`) and gives a product's factors, and
+one scan for the lowest coupling edge gives an entangled state's
+four-point certificate (`lme_state.membership_witness`).
 
 Both text and JSON list the edges by size, then lexicographically
-(`Hypergraph.edges`): a dense coefficient is read through a table of
-every edge mask in that order, any other one sorts its set bits.
+(`Hypergraph.edges`).  A dense coefficient (n <= 16) is listed in runs
+of one low part (vertices 0-3) and one high-part size, each run one
+gather of coefficient bits through the order table of the high vertices
+and one join of cached high-part text; any other one sorts its set bits.
 `parse_anf_text` reads the text one line at a time: a vertex written the
 way `render_anf_text` writes it maps to its mask bit through one dict,
 any other spelling goes through `int`, and the first faulty line decides
@@ -21,6 +24,7 @@ order, so listing it decodes nothing.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional
 
 from .boolfn import (
@@ -29,7 +33,6 @@ from .boolfn import (
     Hypergraph,
     ParseError,
     _byte_text,
-    _lists_dense,
     _sort_edge_masks,
     anf,
     check_arity,
@@ -61,9 +64,17 @@ def hypergraph_of(f: BooleanFunction) -> Hypergraph:
 def render_anf_text(h: Hypergraph) -> str:
     """One header line ``c <0|1>`` then one monomial per line as
     space-separated vertex indices."""
-    lines = [f"c {h.constant_bit}", *h._decode_edges(_byte_text)]
-    # Each edge's text ends in a space, dropped here in one pass.
-    return ("\n".join(lines) + "\n").replace(" \n", "\n")
+    if not h._lists_in_runs:
+        lines = [f"c {h.constant_bit}", *h._decode_edges(_byte_text)]
+        # Each edge's text ends in a space, dropped here in one pass.
+        return ("\n".join(lines) + "\n").replace(" \n", "\n")
+    # Each run is its line start then its high parts joined by line starts.
+    out = [f"c {h.constant_bit}"]
+    for _, line_start, highs, flags in h._edge_runs(True):
+        if 1 in flags:
+            out += line_start, line_start.join(compress(highs, flags))
+    out.append("\n")
+    return "".join(out)
 
 
 # Each vertex token as `render_anf_text` writes it, to its bit in an edge mask.
@@ -135,7 +146,7 @@ def parse_anf_text(
     check_arity(vertex_count, min(max_n, MAX_N))
     masks = list(seen)
     graph = Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
-    if not _lists_dense(vertex_count, len(masks)):
+    if not graph._lists_in_runs:
         # Kept as read, in print order, so listing the edges decodes nothing.
         vars(graph)["_edge_masks"] = _sort_edge_masks(masks)
     return graph

@@ -6,8 +6,10 @@ That pattern is the truth table of its generating function, so a state
 is a BooleanFunction.  Membership in the set of plus/minus product
 states, up to a global sign, then reduces to block comparisons on the
 packed bits, and non-membership has a four-point witness.  The XOR
-polynomial of f gives both answers, and the edge test, from one scan of
-its coefficients for the lowest edge that couples two or more vertices.
+polynomial of f gives both answers: its single-vertex coefficients,
+read once, decide the edge test and are a product's factors, and an
+entangled state's witness is its lowest edge that couples two or more
+vertices.
 """
 
 from __future__ import annotations
@@ -138,11 +140,27 @@ def _lowest_coupling_bit(h: Hypergraph) -> Optional[int]:
     return None
 
 
+def _single_vertex_edges(h: Hypergraph) -> Optional[list[bool]]:
+    # Whether each vertex k has the edge {k} (bit 2**k of coeff), if those
+    # edges and the constant are every set bit; None if some edge couples
+    # two or more vertices.  The top set bit is read off the length of coeff
+    # and cleared while it is a single-vertex edge, so a product costs about
+    # one pass over coeff and a coupling edge above every single one none.
+    rest, minus = h.coeff, [False] * h.vertex_count
+    while rest > 1:
+        top = rest.bit_length() - 1
+        if top & (top - 1):
+            return None
+        minus[top.bit_length() - 1] = True
+        rest ^= 1 << top
+    return minus
+
+
 def entangling_edge_exists(h: Hypergraph) -> bool:
     """True iff some edge couples at least two vertices.  Size-1 edges,
     at the power-of-two bits of `coeff`, are single-qubit phase flips
     (they swap |+> and |-> on one qubit) and never entangle."""
-    return _lowest_coupling_bit(h) is not None
+    return _single_vertex_edges(h) is None
 
 
 def membership_witness(
@@ -159,20 +177,21 @@ def membership_witness(
     minus 2**k, where d first differs from d(0).  With no such edge, the
     global sign is bit 0 and factor k is minus iff bit 2**k is set.
     """
-    if isinstance(state, BooleanFunction):
-        cert = find_certificate(state)
-        n, bits, base = state.arity, state.table, state.table & 1
-    else:
-        bit = _lowest_coupling_bit(state)
-        top = bit.bit_length() - 1 if bit else 0
-        cert = Certificate(top, 0, bit - (1 << top)) if bit else None
-        n, bits, base = state.vertex_count, state.coeff, 0
+    if isinstance(state, Hypergraph):
+        minus = _single_vertex_edges(state)
+        if minus is None:
+            bit = _lowest_coupling_bit(state)
+            top = bit.bit_length() - 1
+            return Certificate(top, 0, bit - (1 << top))
+        return FactorDecomposition(-1 if state.coeff & 1 else 1, tuple(-1 if m else 1 for m in minus))
+    cert = find_certificate(state)
     if cert is not None:
         return cert
-    # Factor k is minus iff bit 2**k differs from the sign of |0...0> (a
-    # table) or is set (coefficients), read by masking that bit alone.
-    factors = tuple(-1 if bool(bits & (1 << (1 << k))) != base else 1 for k in range(n))
-    return FactorDecomposition(-1 if bits & 1 else 1, factors)
+    # Factor k is minus iff bit 2**k differs from the sign of |0...0>, read
+    # by masking that bit alone.
+    table, base = state.table, state.table & 1
+    factors = tuple(-1 if bool(table & (1 << (1 << k))) != base else 1 for k in range(state.arity))
+    return FactorDecomposition(-1 if base else 1, factors)
 
 
 def verify_certificate(

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 import tracemalloc
 
@@ -335,13 +337,12 @@ def test_edges_and_text_of_sparse_wide_hypergraphs(n, top, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# both ways of listing edges: a dense coefficient read through the order
-# table, any other one by sorting its set bits
+# both ways of listing edges: a dense coefficient read in runs, any other
+# one by sorting its set bits
 
 
 def _first_dense_edge_count(n: int) -> int:
-    # The fewest edges `Hypergraph._edge_masks` lists through the order
-    # table: one per 8 coefficient bits.
+    # The fewest edges `Hypergraph` lists in runs: one per 8 coefficient bits.
     return -(-(1 << n) // 8)
 
 
@@ -352,8 +353,8 @@ def test_both_edge_listings_match_the_reference(n, monkeypatch):
     below = sum(1 << m for m in rng.sample(range(1, 1 << n), switch - 1)) | 1
     at = sum(1 << m for m in rng.sample(range(1, 1 << n), switch))
     cases = [
-        (below, "_edge_order"),  # sorted: the order table must not be built
-        (at, "_set_bits"),  # read through the table: nothing is sorted
+        (below, "_run_plan"),  # sorted: no run is listed
+        (at, "_set_bits"),  # listed in runs: nothing is sorted
         (1, None),  # constant only
         (1 << rng.randrange(1, 1 << n), None),  # a single edge
         ((1 << (1 << n)) - 1, None),  # every edge
@@ -378,8 +379,8 @@ def test_dense_listing_sorts_nothing(n, monkeypatch):
 
 
 def test_dense_listing_above_n16_sorts(monkeypatch):
-    # The order table exists only up to n = 16, whose masks fit 16 bits.
-    monkeypatch.setattr(boolfn, "_edge_order", _refuse)
+    # Runs are listed only up to n = 16, over order tables of 12 vertices.
+    monkeypatch.setattr(boolfn, "_run_plan", _refuse)
     h = Hypergraph(17, random.Random(17).getrandbits(1 << 17))
     assert len(h.edges) == (h.coeff >> 1).bit_count()
     assert list(h.edges) == sorted(h.edges, key=lambda edge: (len(edge), edge))
@@ -393,16 +394,77 @@ def test_the_order_table_lists_every_edge_by_size_then_vertices():
         assert list(boolfn._edge_order(n)) == sorted(range(1, 1 << n), key=key)
 
 
-def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte():
-    boolfn._edge_order.cache_clear()
+def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte(monkeypatch):
+    # Everything listing dense coefficients at every n <= 16, as text and as
+    # edges, keeps once it returns: the gathers built from the order tables,
+    # the run plans and the text of the high parts.  The last collection
+    # frees the interpreter's free lists of the edge tuples listed.
+    monkeypatch.setattr(boolfn, "_set_bits", _refuse)
+    graphs = [Hypergraph(n, random.Random(n).getrandbits(1 << n) | 2) for n in range(1, 17)]
+    for table in (boolfn._run_gathers, boolfn._run_plan, boolfn._high_text):
+        table.cache_clear()
+    gc.collect()
     tracemalloc.start()
     try:
-        for n in range(1, 17):
-            boolfn._edge_order(n)
+        while graphs:
+            h = graphs.pop()
+            assert render_anf_text(h) and h.edges
+        del h
+        gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held <= 1 << 20
+
+
+def test_dense_listing_at_n16_builds_order_tables_only_up_to_n12(monkeypatch):
+    widths = []
+    order = boolfn._edge_order
+    monkeypatch.setattr(boolfn, "_edge_order", lambda n: widths.append(n) or order(n))
+    boolfn._run_gathers.cache_clear()
+    h = Hypergraph(16, random.Random(16).getrandbits(1 << 16))
+    assert render_anf_text(h) == _reference_text(h.constant_bit, h.edges)
+    assert widths and max(widths) <= 12
+
+
+# ---------------------------------------------------------------------------
+# runs at their seams: one edge per run where the high part is empty, no
+# low part, a full and an empty run, and the fewest edges listed in runs
+
+
+def _run_masks(n: int, low: int, k: int) -> set[int]:
+    # The edge masks of one run over n >= 4 vertices: low part `low`
+    # (vertices 0-3) and k vertices above them.
+    return {m for m in range(1, 1 << n) if m & 15 == low and (m >> 4).bit_count() == k}
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 16])
+def test_runs_at_their_seams_match_the_reference(n, monkeypatch):
+    rng = random.Random(n)
+    every = range(1, 1 << n)
+    dense = _first_dense_edge_count(n)
+
+    def topped_up(edges):
+        # The given edges, then seeded others up to the fewest listed in runs.
+        others = sorted(set(every) - edges)
+        return edges | set(rng.sample(others, max(0, dense - len(edges))))
+
+    half = {m for m in every if rng.getrandbits(1)}
+    high = n - 4
+    cases = [
+        topped_up({m for m in every if m < 16}),  # every edge inside vertices 0-3
+        topped_up({m for m in every if not m & 15}),  # every edge above them
+        (half | _run_masks(n, 0b0101, min(2, high))) - _run_masks(n, 0b0010, min(1, high)),
+        set(rng.sample(every, dense)),
+    ]
+    monkeypatch.setattr(boolfn, "_set_bits", _refuse)
+    for masks, constant in itertools.product(cases, (0, 1)):
+        coeff = sum(1 << m for m in masks) | constant
+        h = Hypergraph(n, coeff)
+        expected = sorted_edges_of(coeff, n)
+        assert h.edges == expected
+        assert render_anf_text(h) == _reference_text(coeff & 1, expected)
+        assert hypergraph_to_json(h) == {"n": n, "c": coeff & 1, "edges": list(map(list, expected))}
 
 
 # ---------------------------------------------------------------------------

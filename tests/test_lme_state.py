@@ -6,15 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pilme.boolfn import BooleanFunction, classify, compile, evaluate, from_table_hex, parse_formula
+from pilme.boolfn import (
+    BooleanFunction,
+    Hypergraph,
+    classify,
+    compile,
+    evaluate,
+    from_anf,
+    from_table_hex,
+    parse_formula,
+)
 from pilme.lme_state import (
     Certificate,
     FactorDecomposition,
     NotProductError,
     count_osm_states,
+    entangling_edge_exists,
     factorize,
     find_certificate,
     is_osm,
+    membership_witness,
     state_from_function,
     verify_certificate,
 )
@@ -231,6 +242,41 @@ def test_no_valid_certificate_exists_for_product_states_n4():
             for k in range(n):
                 for l, m in itertools.product(range(1 << k), repeat=2):
                     assert not verify_certificate(f, Certificate(k, l, m))
+
+
+# ---------------------------------------------------------------------------
+# witnesses read off a hypergraph's coefficients
+
+
+def test_hypergraph_witnesses_match_the_truth_table_on_every_coefficient_up_to_n3():
+    for n in range(1, 4):
+        for coeff in range(1 << (1 << n)):
+            h = Hypergraph(n, coeff)
+            witness = membership_witness(h)
+            assert witness == membership_witness(from_anf(h))
+            assert entangling_edge_exists(h) == isinstance(witness, Certificate)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hypergraph_witnesses_of_seeded_products_at_n24(seed):
+    n = 24
+    rng = random.Random(seed)
+    constant, minus = rng.getrandbits(1), rng.getrandbits(n) | 1 << (n - 1)
+    product = constant | sum(1 << (1 << k) for k in range(n) if minus >> k & 1)
+    h = Hypergraph(n, product)
+    assert membership_witness(h) == FactorDecomposition(
+        -1 if constant else 1, tuple(-1 if minus >> k & 1 else 1 for k in range(n))
+    )
+    assert not entangling_edge_exists(h)
+    # One coupling edge more: below the top single-vertex edge {23}, so the
+    # edges above it are cleared first, or above it.  Its mask is the lowest
+    # coupling bit.
+    for edge in ({0, 1}, {5, 9}, {3, 17, 22}, {0, 23}, {22, 23}):
+        mask = sum(1 << v for v in edge)
+        top = max(edge)
+        h = Hypergraph(n, product | 1 << mask)
+        assert membership_witness(h) == Certificate(top, 0, mask - (1 << top))
+        assert entangling_edge_exists(h)
 
 
 # ---------------------------------------------------------------------------

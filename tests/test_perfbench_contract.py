@@ -90,7 +90,7 @@ def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
     # The harness's own inputs, expected answers and output checker, on
     # every command and output form of the hypergraph workload, on dense
     # and sparse hypergraphs, so both ways of listing edges run, and on
-    # sparse ones as wide as the round's.
+    # dense and sparse ones as wide as the round's.
     ops, _ = perfbench
     workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
     checker = checks.CliChecker(schemas.SCHEMAS)
@@ -125,6 +125,14 @@ def test_the_checker_passes_hypergraph_outputs_at_narrow_arities(perfbench):
                 verdict = checker.check(slot_id, slot, rc, out, err)
                 assert verdict == ("ok", ""), (n, "sparse", cmd, as_json)
                 slot_id += 1
+    # The round's widest dense slots: a table at n = 16, its edges listed in
+    # runs and read back as text.
+    item = workloads._hypergraph_input(rng, 16, "dense-hex", "anf")
+    for cmd in ("anf", "hypergraph"):
+        slot = {"n": 16, "family": "dense-hex", "cmd": cmd, "json": False, **item}
+        rc, out, err = ops.run_cli(pilme.cli, ops.cli_argv(slot))
+        assert checker.check(slot_id, slot, rc, out, err) == ("ok", ""), (16, "dense-hex", cmd)
+        slot_id += 1
 
 
 def test_the_checker_passes_every_json_output_of_the_other_rounds(perfbench):

@@ -272,6 +272,17 @@ CASES = [
     # a dense n=16 hypergraph: about 32,000 edges in text form, both commands
     (["anf", *HEX16], None),
     (["hypergraph", *HEX16], None),
+    # coupling edges at n = 24 read off the coefficients: below the top
+    # single-vertex edge {23}, which is cleared before the read stops, and
+    # at the top level, where the certificate's m is 2**22
+    (["separable", "--format", "anf", "c 0\n0 1\n23\n"], None),
+    (["separable", "--format", "anf", "c 0\n0 1\n23\n", "--json"], None),
+    (["hypergraph", "--format", "anf", "c 0\n0 1\n23\n"], None),
+    (["hypergraph", "--format", "anf", "c 0\n0 1\n23\n", "--json"], None),
+    (["separable", "--format", "anf", "c 1\n3\n22 23\n"], None),
+    (["separable", "--format", "anf", "c 1\n3\n22 23\n", "--json"], None),
+    (["hypergraph", "--format", "anf", "c 1\n3\n22 23\n"], None),
+    (["hypergraph", "--format", "anf", "c 1\n3\n22 23\n", "--json"], None),
 ]
 
 # (exit code, SHA-256 of stdout, stderr), one row per case, in order.
@@ -416,6 +427,14 @@ EXPECTED = [
     (0, '8d72c5b93941a28a0b9ff98c7d7412e6d2af13a236629f915d7b825d65bfe6fc', ''),
     (0, 'e0ddc9e506033825d1fb9461081f331c1cc0524a8bbdb36872c3d6d59de7759d', ''),
     (0, 'e85a79879a56399ab559a779a9b555a2bffc3f905db4bae08bf4a53fc6da994c', ''),
+    (0, 'cc3353c3542bf222c0258d8d73ca159c8dbcad5bc84d0b2568f60288cf4bf9a9', ''),
+    (0, '134af9b12c92d51ad94325e70b16083deb50155fd2c5a54d24e253cddc1894af', ''),
+    (0, '266c0b5ba0f7acf3ab82bae4dbdd9674d1b419d63247bb32110e09d63dbdea00', ''),
+    (0, '6e090f6a7111ea5d3fd0c9766409e3495ab797451439184147ef0a0d92af45e3', ''),
+    (0, '049394cb6883844a362f47f9ad776c2b18bc1c57856ad9ac048d40a6f45f7d00', ''),
+    (0, '743bc522d6ddbeff3f92ffe090dc3031a99a5cd23b24bd6c5a8be870e25d62b3', ''),
+    (0, '867c15f8e5f04241a50cc66349583f7e76e652a24cf9a24943f320cb8403fd4e', ''),
+    (0, '3e3c571bd123485a14563b4180a382055d3b252007cc9eb4aa692f0aced52ea6', ''),
 ]
 
 # Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).

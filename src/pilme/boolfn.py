@@ -23,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, groupby, repeat
+from itertools import combinations, compress, repeat
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 # Cap on the arity of every function handed to the package, and the
@@ -159,7 +159,6 @@ class Hypergraph:
 # by one goes through these helpers, which walk it a byte at a time
 # instead of shifting the whole int once per position.
 
-_BYTE_BITS = tuple(tuple(k for k in range(8) if (byte >> k) & 1) for byte in range(256))
 _NONZERO_TO_ONE = bytes([0] + [1] * 255)
 
 
@@ -167,10 +166,11 @@ def _set_bits(packed: int) -> list[int]:
     """Positions of the set bits of a non-negative int, ascending."""
     raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
     find = raw.translate(_NONZERO_TO_ONE).find
+    byte_bits = _byte_vertices(0)
     out = []
     i = find(1)
     while i >= 0:
-        out.extend(8 * i + k for k in _BYTE_BITS[raw[i]])
+        out.extend(8 * i + k for k in byte_bits[raw[i]])
         i = find(1, i + 1)
     return out
 
@@ -179,9 +179,9 @@ def _set_bits(packed: int) -> list[int]:
 # bits, splits each edge mask into a low part (vertices 0-3) and a high
 # part (vertices 4 and up).  In print order the edges come in runs of one
 # low part and one high-part size, at most 16 * (n - 3) of them, and inside
-# a run the high parts follow the order table of n - 4 vertices.  So order
-# tables are sorted only up to 12 vertices, and listing keeps the gathers
-# built from them and one run plan per arity, and the text of the 4,096
+# a run the high parts of one size over n - 4 vertices follow their vertex
+# tuples.  So gathers of high parts are built only up to 12 vertices, and
+# listing keeps them and one run plan per arity, and the text of the 4,096
 # high parts: 0.8 MiB for every n <= 16 together.
 _DENSE_MAX_N = 16
 _LOW_BITS = 4
@@ -197,21 +197,16 @@ def _sort_edge_masks(masks: list[int]) -> list[int]:
     return masks
 
 
-def _edge_order(n: int) -> list[int]:
-    """Every edge mask over n <= 12 vertices, by size, then by its vertex
-    tuple; kept only inside the gathers built from it."""
-    return _sort_edge_masks(list(range(1, 1 << n)))
-
-
 @functools.cache
 def _run_gathers(high_bits: int) -> tuple[Callable[[Sequence], Sequence], ...]:
     # For each size k, a gather that puts the size-k high masks over
-    # high_bits <= 12 vertices in order (the empty one for k = 0) out of a
-    # sequence indexed by high mask.  A size with one mask gets a slice, so
-    # that every gather returns a sequence.
+    # high_bits <= 12 vertices in order, as `combinations` yields them, out
+    # of a sequence indexed by high mask.  A size with one mask (k = 0 or
+    # k = high_bits) gets a slice, so that every gather returns a sequence.
+    bits = [1 << v for v in range(high_bits)]
     gathers = []
-    for _, masks in groupby((0, *_edge_order(high_bits)), int.bit_count):
-        masks = tuple(masks)
+    for k in range(high_bits + 1):
+        masks = tuple(map(sum, combinations(bits, k)))
         one = slice(masks[0], masks[0] + 1)
         gathers.append(operator.itemgetter(*masks) if len(masks) > 1 else operator.itemgetter(one))
     return tuple(gathers)
@@ -262,7 +257,7 @@ def _high_vertices(high_bits: int) -> list[tuple[int, ...]]:
 @functools.cache
 def _byte_vertices(k: int) -> tuple[tuple[int, ...], ...]:
     # The vertices 8k..8k+7 that each value of byte k of a vertex mask holds.
-    return tuple(tuple(8 * k + j for j in bits) for bits in _BYTE_BITS)
+    return tuple(tuple(8 * k + j for j in range(8) if byte >> j & 1) for byte in range(256))
 
 
 @functools.cache

@@ -8,8 +8,9 @@ ANF text as it is, with no table (`load_hypergraph`): `separable` reads
 its answer off the coefficients.  Each handler returns its facts, and
 `run` alone prints them.
 
-Exit codes: 0 success, 1 domain errors (the arity cap, promise
-violations, verification failures), 2 usage and input parse errors.
+Exit codes: 0 success, 1 domain errors (promise violations, verification
+failures, the arity cap on ANF text and on the `reduce-karp` image), 2
+usage and input parse errors (and the cap on formula, DIMACS, table-hex).
 """
 
 from __future__ import annotations

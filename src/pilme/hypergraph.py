@@ -7,13 +7,13 @@ through the full subset-lattice transform (ANF text is one already), so
 the easy edge test does not shortcut the hard decision problem.  Given
 the hypergraph, one read of the single-vertex coefficients answers the
 edge test (`entangling_edge_exists`) and gives a product's factors, and
-one scan for the lowest coupling edge gives an entangled state's
-four-point certificate (`lme_state.membership_witness`).
+one scan of what it leaves, for the lowest coupling edge, gives an
+entangled state's four-point certificate (`lme_state.membership_witness`).
 
 Both text and JSON list the edges by size, then lexicographically
 (`Hypergraph.edges`).  A dense coefficient (n <= 16) is listed in runs
 of one low part (vertices 0-3) and one high-part size, each run one
-gather of coefficient bits through the order table of the high vertices
+gather of coefficient bits, high parts as `combinations` lists them,
 and one join of cached high-part text; any other one sorts its set bits.
 `parse_anf_text` reads the text one line at a time: a vertex written the
 way `render_anf_text` writes it maps to its mask bit through one dict,

@@ -125,42 +125,26 @@ def find_certificate(state: BooleanFunction) -> Optional[Certificate]:
     return None
 
 
-def _lowest_coupling_bit(h: Hypergraph) -> Optional[int]:
-    # The lowest coefficient bit strictly inside (2**k, 2**(k+1)) for the
-    # first k that has one, or None: the smallest coupling edge's mask.
-    coeff = h.coeff
-    for k in range(h.vertex_count):
-        width = 1 << k
-        # Cut out bits [0, 2**(k+1)) before shifting, as find_certificate
-        # does, so level k costs O(2**k) and not a shift of every bit.
-        low = coeff & ((1 << 2 * width) - 1) if coeff.bit_length() > 2 * width else coeff
-        window = low >> (width + 1)
-        if window:
-            return width + (window & -window).bit_length()
-    return None
-
-
-def _single_vertex_edges(h: Hypergraph) -> Optional[list[bool]]:
-    # Whether each vertex k has the edge {k} (bit 2**k of coeff), if those
-    # edges and the constant are every set bit; None if some edge couples
-    # two or more vertices.  The top set bit is read off the length of coeff
-    # and cleared while it is a single-vertex edge, so a product costs about
-    # one pass over coeff and a coupling edge above every single one none.
+def _single_vertex_edges(h: Hypergraph) -> tuple[list[bool], int]:
+    # Whether each vertex k has the edge {k} (bit 2**k of coeff), cleared from
+    # the top set bit down while that is such an edge, and the bits left:
+    # rest <= 1 exactly when the state is a product.  A product costs about
+    # one pass over coeff, and a coupling edge above every single one none.
     rest, minus = h.coeff, [False] * h.vertex_count
     while rest > 1:
         top = rest.bit_length() - 1
         if top & (top - 1):
-            return None
+            break
         minus[top.bit_length() - 1] = True
         rest ^= 1 << top
-    return minus
+    return minus, rest
 
 
 def entangling_edge_exists(h: Hypergraph) -> bool:
     """True iff some edge couples at least two vertices.  Size-1 edges,
     at the power-of-two bits of `coeff`, are single-qubit phase flips
     (they swap |+> and |-> on one qubit) and never entangle."""
-    return _single_vertex_edges(h) is None
+    return _single_vertex_edges(h)[1] > 1
 
 
 def membership_witness(
@@ -178,12 +162,18 @@ def membership_witness(
     global sign is bit 0 and factor k is minus iff bit 2**k is set.
     """
     if isinstance(state, Hypergraph):
-        minus = _single_vertex_edges(state)
-        if minus is None:
-            bit = _lowest_coupling_bit(state)
-            top = bit.bit_length() - 1
-            return Certificate(top, 0, bit - (1 << top))
-        return FactorDecomposition(-1 if state.coeff & 1 else 1, tuple(-1 if m else 1 for m in minus))
+        minus, rest = _single_vertex_edges(state)
+        if rest <= 1:
+            return FactorDecomposition(-1 if state.coeff & 1 else 1, tuple(-1 if m else 1 for m in minus))
+        # The top bit of rest couples vertices, so the scan stops by its level.
+        for k in range((rest.bit_length() - 1).bit_length()):
+            width = 1 << k
+            # Cut before shifting, as find_certificate does: level k is O(2**k).
+            low = rest & ((1 << 2 * width) - 1) if rest.bit_length() > 2 * width else rest
+            window = low >> (width + 1)
+            if window:
+                break
+        return Certificate(k, 0, (window & -window).bit_length())
     cert = find_certificate(state)
     if cert is not None:
         return cert

@@ -325,8 +325,8 @@ def test_edges_and_text_of_sparse_wide_hypergraphs(n, top, monkeypatch):
     # reference sorts the generating vertex tuples by (size, vertices).
     # Vertex `top` is in use; at n = 32 that is above vertex 24 and puts
     # edges in the fourth byte of the mask, while the coefficient int stays
-    # at 2**26 bits.  No order table exists at these arities.
-    monkeypatch.setattr(boolfn, "_edge_order", _refuse)
+    # at 2**26 bits.  No gather of high parts is built at these arities.
+    monkeypatch.setattr(boolfn, "_run_gathers", _refuse)
     rng = random.Random(n)
     edges = {(top,), (0, top), (3, 8, 16, top - 1, top)}
     edges |= {tuple(sorted(rng.sample(range(top + 1), rng.randint(1, 6)))) for _ in range(40)}
@@ -387,11 +387,14 @@ def test_dense_listing_above_n16_sorts(monkeypatch):
 
 
 def test_the_order_table_lists_every_edge_by_size_then_vertices():
+    # The gathers of each width, in turn, put every mask in print order,
+    # the empty one first.
     for n in range(1, 13):
         def key(mask):
             return mask.bit_count(), tuple(v for v in range(n) if mask >> v & 1)
 
-        assert list(boolfn._edge_order(n)) == sorted(range(1, 1 << n), key=key)
+        listed = [mask for gather in boolfn._run_gathers(n) for mask in gather(range(1 << n))]
+        assert listed == [0, *sorted(range(1, 1 << n), key=key)]
 
 
 def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte(monkeypatch):
@@ -419,9 +422,8 @@ def test_the_order_tables_up_to_n16_hold_at_most_a_mebibyte(monkeypatch):
 
 def test_dense_listing_at_n16_builds_order_tables_only_up_to_n12(monkeypatch):
     widths = []
-    order = boolfn._edge_order
-    monkeypatch.setattr(boolfn, "_edge_order", lambda n: widths.append(n) or order(n))
-    boolfn._run_gathers.cache_clear()
+    gathers = boolfn._run_gathers
+    monkeypatch.setattr(boolfn, "_run_gathers", lambda n: widths.append(n) or gathers(n))
     h = Hypergraph(16, random.Random(16).getrandbits(1 << 16))
     assert render_anf_text(h) == _reference_text(h.constant_bit, h.edges)
     assert widths and max(widths) <= 12

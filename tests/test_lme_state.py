@@ -248,13 +248,15 @@ def test_no_valid_certificate_exists_for_product_states_n4():
 # witnesses read off a hypergraph's coefficients
 
 
-def test_hypergraph_witnesses_match_the_truth_table_on_every_coefficient_up_to_n3():
-    for n in range(1, 4):
+def test_hypergraph_witnesses_match_the_truth_table_on_every_coefficient_up_to_n4():
+    # Every hypergraph over at most 4 vertices: 65,812 coefficients.
+    for n in range(1, 5):
         for coeff in range(1 << (1 << n)):
             h = Hypergraph(n, coeff)
+            f = from_anf(h)
             witness = membership_witness(h)
-            assert witness == membership_witness(from_anf(h))
-            assert entangling_edge_exists(h) == isinstance(witness, Certificate)
+            assert witness == membership_witness(f)
+            assert entangling_edge_exists(h) == isinstance(witness, Certificate) == (not is_osm(f))
 
 
 @pytest.mark.parametrize("seed", range(3))

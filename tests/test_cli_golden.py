@@ -155,6 +155,7 @@ CASES = [
     (["reduce-karp", "x23"], None),
     (["classify", "x1 &"], None),
     (["classify", "x25"], None),
+    (["classify", "x1", "--n", "25"], None),
     (["classify", "x1", "--max-n", "30"], None),
     (["dj", "x1 & x2"], None),
     (["state", "--format", "table-hex", "zz", "--n", "3"], None),
@@ -168,14 +169,19 @@ CASES = [
     (["dj", *ONES10, "--json"], None),
     (["dj", *BALANCED10, "--json"], None),
     (["sat-quantum", *ZEROS12, "--json"], None),
+    # ANF text given a vertex count above the cap: --n is refused first
+    (["anf", "--format", "anf", "c 1", "--n", "25"], None),
     # ANF text naming a vertex above a lowered --max-n: the error names that cap
     (["anf", "--format", "anf", "c 0\n0 25\n", "--max-n", "10"], None),
     # above the 2**18-entry block edge: the Moebius transform on several blocks
     (["anf", "x1 & x3 | x2 ^ x20", "--n", "20"], None),
     (["hypergraph", "--format", "anf", "c 1\n0 21\n3 7 12\n5\n1 2 3 4\n10 20\n8 9 15 21\n", "--json"], None),
-    # a lowered --max-n refuses at the input, and bounds the reduce-karp image
+    # the cap bounds the reduce-karp image, and refuses a DIMACS header above it
+    (["reduce-karp", "x24", "--n", "24"], None),
     (["reduce-karp", "x1 & x2", "--max-n", "3"], None),
+    (["sat", "--format", "dimacs", "-"], "p cnf 25 1\n1 -25 0\n"),
     (["sat", "--format", "dimacs", "-", "--max-n", "4"], "p cnf 5 1\n1 -5 0\n"),
+    (["classify", "--format", "dimacs", "-"], "p cnf 25 1\n1 0\n"),
     (["classify", "x5", "--max-n", "4"], None),
     # a dense n=12 hypergraph: about 2,000 edges, so the edge order is pinned
     (["anf", *HEX12], None),
@@ -236,7 +242,9 @@ CASES = [
     # a vertex at the cap and beyond it, at 24 and at --max-n 10
     (["hypergraph", "--format", "anf", "c 1\n23\n0 23\n", "--json"], None),
     (["anf", "--format", "anf", "c 0\n24\n"], None),
+    (["anf", "--format", "anf", "c 0\n23\n"], None),
     (["anf", "--format", "anf", "c 0\n9\n", "--max-n", "10"], None),
+    (["anf", "--format", "anf", "c 0\n0 24\n"], None),
     (["anf", "--format", "anf", "c 0\n0 10\n", "--max-n", "10"], None),
     # a 5,000-digit vertex, alone and after a valid line
     (["anf", "--format", "anf", f"c 0\n{HUGE_VERTEX}\n"], None),
@@ -340,6 +348,7 @@ EXPECTED = [
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: unexpected end of input (at position 4)\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x25 out of range for arity 24 (at position 0)\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: --n must be between 1 and 24\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be between 1 and 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: function is neither constant nor balanced\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: invalid hex table 'zz'\n"),
@@ -352,11 +361,15 @@ EXPECTED = [
     (0, '7c4bf621ad0e77d66432b72c6a310b0bcd6c9c96eaada64aa31e37403f6e1ddc', ''),
     (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
     (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: --n must be between 1 and 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 10\n'),
     (0, '1a6e2efc575a66407ba09650e5c739f4834d878f4d49b392c7962659d5db060c', ''),
     (0, 'a6e4e122afa8d7a109b5dab36a82c3d23fc3f42f8200fd78148d381df7f32f5b', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 4 exceeds the configured cap 3\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 25 exceeds the configured cap 24\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 5 exceeds the configured cap 4\n'),
+    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 25 exceeds the configured cap 24\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x5 out of range for arity 4 (at position 0)\n'),
     (0, '2a49b28396974168ebcad200422dcb443c78981a35ec7498860eae667902c7a4', ''),
     (0, '940d62505ba867c31936886d47727b03a1719d7fd9e61459b19056f6b8e5a4b6', ''),
@@ -402,7 +415,9 @@ EXPECTED = [
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: monomials reach vertex 5, beyond vertex count 3\n'),
     (0, '9e8b25b7631c068841293857ae78122508e092dd3b61965ef13857f8475bdde5', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
+    (0, '163ff2170261befb4a118f0f100e69c33cd9f316c761f27dcca89b63a82e7760', ''),
     (0, '70d03055faff0aed8e16168e6fa8fac59242cc70a16fe6e0d88aaeee021b5486', ''),
+    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 11 exceeds the configured cap 10\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX}'\n"),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX} 1 1'\n"),

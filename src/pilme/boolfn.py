@@ -44,10 +44,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-def check_arity(arity: int, cap: int = MAX_N) -> None:
-    """Refuse an arity above the cap."""
-    if arity > cap:
-        raise ValueError(f"arity {arity} exceeds the configured cap {cap}")
+def check_arity(arity: int) -> None:
+    """Refuse an arity above MAX_N, read at call time."""
+    if arity > MAX_N:
+        raise ValueError(f"arity {arity} exceeds the configured cap {MAX_N}")
 
 
 def _check_packed(n: int, bits: int, n_name: str, bits_name: str) -> None:

@@ -1,9 +1,9 @@
 """Command line front end: read a Boolean function, run an analysis, emit
 either human-readable text or JSON carrying the same facts.
 
-`_read_input` is the one input boundary: it checks --n, --max-n (or
-PILME_MAX_N) and --format, and refuses an arity above the configured cap
-before any table is built.  `anf`, `hypergraph` and `separable` keep
+`_read_input` is the one input boundary: it checks --n and --format, and
+the loaders refuse an arity above `boolfn.MAX_N`, the one cap, before any
+table is built.  `anf`, `hypergraph` and `separable` keep
 ANF text as it is, with no table (`load_hypergraph`): `separable` reads
 its answer off the coefficients.  Each handler returns its facts, and
 `run` alone prints them.
@@ -30,20 +30,6 @@ from .boolfn import BooleanFunction, Hypergraph, ParseError
 FORMATS = ("formula", "dimacs", "table-hex", "anf")
 
 
-def _resolve_max_n(value: Optional[int]) -> int:
-    if value is None:
-        raw = os.environ.get("PILME_MAX_N")
-        if raw is None:
-            return boolfn.MAX_N
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"PILME_MAX_N must be an integer, got {raw!r}") from None
-    if not 1 <= value <= boolfn.MAX_N:
-        raise ParseError(f"max_n must be between 1 and {boolfn.MAX_N}")
-    return value
-
-
 def _read_source(source: str) -> str:
     try:
         if source == "-":
@@ -61,13 +47,11 @@ def _read_source(source: str) -> str:
 def _read_input(args: argparse.Namespace) -> str:
     """Check the input options, then read the input text.
 
-    This is where the configured arity cap applies: every format refuses
-    an arity above it before a table is built.  The resolved cap is stored
-    back in `args.max_n`.
+    An --n above `boolfn.MAX_N` is refused here; each loader refuses a
+    wider input before a table is built.
     """
-    args.max_n = max_n = _resolve_max_n(args.max_n)
-    if args.n is not None and not 1 <= args.n <= max_n:
-        raise ParseError(f"--n must be between 1 and {max_n}")
+    if args.n is not None and not 1 <= args.n <= boolfn.MAX_N:
+        raise ParseError(f"--n must be between 1 and {boolfn.MAX_N}")
     if args.format == "table-hex" and args.n is None:
         raise ParseError("table-hex input requires --n")
     return _read_source(args.input)
@@ -77,16 +61,16 @@ def load_function(args: argparse.Namespace) -> BooleanFunction:
     """Parse the input into a truth table."""
     if args.format == "anf":
         return boolfn.from_anf(load_hypergraph(args))
-    text, arity, max_n = _read_input(args), args.n, args.max_n
+    text, arity, cap = _read_input(args), args.n, boolfn.MAX_N
     if args.format == "formula":
-        program = boolfn.parse_formula(text, arity or max_n)
+        program = boolfn.parse_formula(text, arity or cap)
         return boolfn.compile(program, arity or max(1, boolfn.max_variable(program)))
     if args.format == "dimacs":
         var_count, clauses = boolfn.parse_dimacs_clauses(text)
         if arity is not None and arity != var_count:
             raise ParseError(f"--n {arity} conflicts with the DIMACS header count {var_count}")
-        if var_count > max_n:
-            raise ParseError(f"DIMACS arity {var_count} exceeds the configured cap {max_n}")
+        if var_count > cap:
+            raise ParseError(f"DIMACS arity {var_count} exceeds the configured cap {cap}")
         return boolfn.compile(boolfn.clauses_to_ast(clauses), var_count)
     return boolfn.from_table_hex(text, arity)
 
@@ -97,7 +81,7 @@ def load_hypergraph(args: argparse.Namespace) -> Hypergraph:
     if args.format != "anf":
         return hypergraph.hypergraph_of(load_function(args))
     text = _read_input(args)
-    return hypergraph.parse_anf_text(text, args.n, max_n=args.max_n)
+    return hypergraph.parse_anf_text(text, args.n)
 
 
 def load_state(args: argparse.Namespace) -> BooleanFunction | Hypergraph:
@@ -179,7 +163,7 @@ def _hypergraph(graph: Hypergraph, args: argparse.Namespace) -> dict | str:
 
 def _reduce_karp(f: BooleanFunction, args: argparse.Namespace) -> dict:
     # The image has two more variables, so it too must fit under the cap.
-    boolfn.check_arity(f.arity + 2, args.max_n)
+    boolfn.check_arity(f.arity + 2)
     g = reductions.karp_reduce(f)
     return {
         "n": g.arity,
@@ -253,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", "-f", choices=FORMATS, default="formula")
         sub.add_argument("--n", type=int, default=None,
                          help="arity (required for table-hex, inferred otherwise)")
-        sub.add_argument("--max-n", type=int, default=None,
-                         help=f"arity cap, at most {boolfn.MAX_N} (default from PILME_MAX_N or {boolfn.MAX_N})")
         sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
         sub.set_defaults(handler=handler, loader=loader)
         return sub

@@ -97,15 +97,13 @@ def _edge_key(line: str, tokens: list[str]) -> tuple[int | frozenset[int], int]:
     return mask, mask.bit_count()
 
 
-def parse_anf_text(
-    text: str, vertex_count: Optional[int] = None, max_n: int = MAX_N
-) -> Hypergraph:
+def parse_anf_text(text: str, vertex_count: Optional[int] = None) -> Hypergraph:
     """Parse the text format back into a hypergraph.
 
     The format does not carry the vertex count; it is inferred as one past
     the largest mentioned vertex unless given explicitly (required for
-    edge-free input).  A vertex count above `max_n`, or above MAX_N, is
-    refused before the coefficients are packed.
+    edge-free input).  A vertex count above MAX_N is refused before the
+    coefficients are packed.
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
@@ -143,7 +141,7 @@ def parse_anf_text(
         raise ParseError(
             f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}"
         )
-    check_arity(vertex_count, min(max_n, MAX_N))
+    check_arity(vertex_count)
     masks = list(seen)
     graph = Hypergraph(vertex_count, pack_bits(masks, 1 << vertex_count) | int(header[1]))
     if not graph._lists_in_runs:

@@ -64,7 +64,7 @@ def sorted_edges_of(coeff: int, n: int) -> tuple:
     return tuple(sorted(edges, key=lambda edge: (len(edge), edge)))
 
 
-def read_anf_text(text: str, vertex_count=None, max_n: int = MAX_N):
+def read_anf_text(text: str, vertex_count=None):
     """ANF text read line by line, every vertex through `int`, as
     (vertex_count, coeff, edges) with the edges sorted by (size, vertices).
 
@@ -98,8 +98,8 @@ def read_anf_text(text: str, vertex_count=None, max_n: int = MAX_N):
         vertex_count = inferred
     elif vertex_count < inferred:
         raise ParseError(f"monomials reach vertex {inferred - 1}, beyond vertex count {vertex_count}")
-    if vertex_count > max_n:
-        raise ValueError(f"arity {vertex_count} exceeds the configured cap {max_n}")
+    if vertex_count > MAX_N:
+        raise ValueError(f"arity {vertex_count} exceeds the configured cap {MAX_N}")
     listed = sorted((tuple(sorted(edge)) for edge in edges), key=lambda edge: (len(edge), edge))
     return vertex_count, coeff_from_edges(int(header[1]), edges), tuple(listed)
 

@@ -319,26 +319,6 @@ def test_helstrom_above_the_arity_cap_is_domain_error(capsys):
     assert capsys.readouterr().err == "error: n must be between 1 and 24\n"
 
 
-def test_max_n_flag_is_capped(capsys):
-    assert cli.run(["classify", "x1", "--max-n", "30"]) == 2
-    capsys.readouterr()
-
-
-def test_env_var_lowers_default_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PILME_MAX_N", "3")
-    assert cli.run(["classify", "x1 & x2 & x3 & x4"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("PILME_MAX_N", "4")
-    payload = run_json(capsys, ["classify", "x1 & x2 & x3 & x4", "--json"])
-    assert payload["n"] == 4
-
-
-def test_bad_env_var_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PILME_MAX_N", "lots")
-    assert cli.run(["classify", "x1"]) == 2
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize(
     "formula", ["!" * 5000 + "x1", "(" * 3000 + "x1" + ")" * 3000], ids=["negations", "parentheses"]
 )
@@ -362,6 +342,25 @@ def test_run_builds_the_parser_once(capsys, monkeypatch):
         assert cli.run(["classify", "x1 & x2", "--json"]) == 0
     capsys.readouterr()
     assert built == []
+
+
+def test_option_surface_is_pinned():
+    # Each subcommand's option strings, so that adding or removing an
+    # option is a reviewed change to this table.
+    input_options = ["--format", "--help", "--json", "--n", "-f", "-h"]
+    expected = {
+        name: input_options
+        for name in ["classify", "separable", "anf", "hypergraph", "reduce-karp", "sat", "sat-quantum", "dj"]
+    }
+    expected["state"] = sorted(["--amplitudes", *input_options])
+    expected["helstrom"] = ["--copies", "--help", "--json", "--n", "--unique-sat-pair", "-h"]
+    expected["verify"] = ["--help", "--json", "--n", "-h"]
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: sorted(option for action in sub._actions for option in action.option_strings)
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == expected
 
 
 # ---------------------------------------------------------------------------

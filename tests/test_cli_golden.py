@@ -4,7 +4,7 @@ of a fixed set of invocations, pinned byte for byte.
 Every subcommand appears in text and --json form, together with the
 README examples, dense n=10, n=12, n=14 and n=16 tables, ANF text input
 (up to n=24, dense at n=12) and the common error paths, among them input
-above a lowered --max-n or PILME_MAX_N.  ANF text rows pin which error wins
+above the arity cap of 24.  ANF text rows pin which error wins
 when several lines are faulty, vertices spelled in other ways that `int`
 reads (`007`, `+3`, `1_0`), other separators (tab, CRLF, form feed) and
 a 5,000-digit vertex.  Rows above the 2**18-entry block size pin ANF
@@ -156,7 +156,6 @@ CASES = [
     (["classify", "x1 &"], None),
     (["classify", "x25"], None),
     (["classify", "x1", "--n", "25"], None),
-    (["classify", "x1", "--max-n", "30"], None),
     (["dj", "x1 & x2"], None),
     (["state", "--format", "table-hex", "zz", "--n", "3"], None),
     (["anf", "--format", "anf", "c 0\n0 1\n1 0\n"], None),
@@ -171,18 +170,13 @@ CASES = [
     (["sat-quantum", *ZEROS12, "--json"], None),
     # ANF text given a vertex count above the cap: --n is refused first
     (["anf", "--format", "anf", "c 1", "--n", "25"], None),
-    # ANF text naming a vertex above a lowered --max-n: the error names that cap
-    (["anf", "--format", "anf", "c 0\n0 25\n", "--max-n", "10"], None),
     # above the 2**18-entry block edge: the Moebius transform on several blocks
     (["anf", "x1 & x3 | x2 ^ x20", "--n", "20"], None),
     (["hypergraph", "--format", "anf", "c 1\n0 21\n3 7 12\n5\n1 2 3 4\n10 20\n8 9 15 21\n", "--json"], None),
     # the cap bounds the reduce-karp image, and refuses a DIMACS header above it
     (["reduce-karp", "x24", "--n", "24"], None),
-    (["reduce-karp", "x1 & x2", "--max-n", "3"], None),
     (["sat", "--format", "dimacs", "-"], "p cnf 25 1\n1 -25 0\n"),
-    (["sat", "--format", "dimacs", "-", "--max-n", "4"], "p cnf 5 1\n1 -5 0\n"),
     (["classify", "--format", "dimacs", "-"], "p cnf 25 1\n1 0\n"),
-    (["classify", "x5", "--max-n", "4"], None),
     # a dense n=12 hypergraph: about 2,000 edges, so the edge order is pinned
     (["anf", *HEX12], None),
     (["hypergraph", *HEX12, "--json"], None),
@@ -239,13 +233,11 @@ CASES = [
     (["anf", "--format", "anf", "c 0\n0\f1 2\n"], None),
     (["anf", "--format", "anf", "c 0\n٣ 1\n"], None),
     (["anf", "--format", "anf", "c 0\n05 1\n", "--n", "3"], None),
-    # a vertex at the cap and beyond it, at 24 and at --max-n 10
+    # a vertex at the cap and beyond it
     (["hypergraph", "--format", "anf", "c 1\n23\n0 23\n", "--json"], None),
     (["anf", "--format", "anf", "c 0\n24\n"], None),
     (["anf", "--format", "anf", "c 0\n23\n"], None),
-    (["anf", "--format", "anf", "c 0\n9\n", "--max-n", "10"], None),
     (["anf", "--format", "anf", "c 0\n0 24\n"], None),
-    (["anf", "--format", "anf", "c 0\n0 10\n", "--max-n", "10"], None),
     # a 5,000-digit vertex, alone and after a valid line
     (["anf", "--format", "anf", f"c 0\n{HUGE_VERTEX}\n"], None),
     (["hypergraph", "--format", "anf", f"c 0\n1 2\n{HUGE_VERTEX} 1 1\n", "--json"], None),
@@ -349,7 +341,6 @@ EXPECTED = [
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: unexpected end of input (at position 4)\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x25 out of range for arity 24 (at position 0)\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: --n must be between 1 and 24\n'),
-    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: max_n must be between 1 and 24\n'),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: function is neither constant nor balanced\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: invalid hex table 'zz'\n"),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: duplicate monomial '1 0'\n"),
@@ -362,15 +353,11 @@ EXPECTED = [
     (0, '7bb228dbc66d37b2295a88578ec849cff1924a0bd351c73cb312c7a2491b9261', ''),
     (0, '9773a9d5ac173e05ed6239eed4403c2997a70d32b04701946286f2f22aa75ab2', ''),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: --n must be between 1 and 24\n'),
-    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 10\n'),
     (0, '1a6e2efc575a66407ba09650e5c739f4834d878f4d49b392c7962659d5db060c', ''),
     (0, 'a6e4e122afa8d7a109b5dab36a82c3d23fc3f42f8200fd78148d381df7f32f5b', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 26 exceeds the configured cap 24\n'),
-    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 4 exceeds the configured cap 3\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 25 exceeds the configured cap 24\n'),
-    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 5 exceeds the configured cap 4\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: DIMACS arity 25 exceeds the configured cap 24\n'),
-    (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: variable x5 out of range for arity 4 (at position 0)\n'),
     (0, '2a49b28396974168ebcad200422dcb443c78981a35ec7498860eae667902c7a4', ''),
     (0, '940d62505ba867c31936886d47727b03a1719d7fd9e61459b19056f6b8e5a4b6', ''),
     (0, 'a00b690153fd7beaa57b30d25f24f923af1917af51d551ef66775e8270d8818f', ''),
@@ -416,9 +403,7 @@ EXPECTED = [
     (0, '9e8b25b7631c068841293857ae78122508e092dd3b61965ef13857f8475bdde5', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
     (0, '163ff2170261befb4a118f0f100e69c33cd9f316c761f27dcca89b63a82e7760', ''),
-    (0, '70d03055faff0aed8e16168e6fa8fac59242cc70a16fe6e0d88aaeee021b5486', ''),
     (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 25 exceeds the configured cap 24\n'),
-    (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 11 exceeds the configured cap 10\n'),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX}'\n"),
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', f"error: bad monomial line '{HUGE_VERTEX} 1 1'\n"),
     (0, '5641a02550fe1d272db3b6fee2ca161af4de54d431790dc392d0185f240c56b2', ''),
@@ -452,17 +437,6 @@ EXPECTED = [
     (0, '3e3c571bd123485a14563b4180a382055d3b252007cc9eb4aa692f0aced52ea6', ''),
 ]
 
-# Rows run with PILME_MAX_N set: (environment, argv, stdin, expected row).
-ENV_CASES = [
-    # the cap from the environment refuses ANF text naming a vertex above it
-    (
-        {"PILME_MAX_N": "3"},
-        ["anf", "--format", "anf", "c 0\n0 5\n"],
-        None,
-        (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: arity 6 exceeds the configured cap 3\n'),
-    ),
-]
-
 # SHA-256 over repr(turing_reduce_sat(f)) then repr(algorithm1_end_to_end(f))
 # for the 276 functions with n <= 3, in order of arity and table.
 PIPELINE_DIGEST = "730e024416315e8e0a9aa8a93a3b1f9282827937bf3f16ede66988f0b174f432"
@@ -472,10 +446,7 @@ PIPELINE_DIGEST = "730e024416315e8e0a9aa8a93a3b1f9282827937bf3f16ede66988f0b174f
 SCHEMAS_DIGEST = "8470bf9a75f67b416259667aa8495ae4f6cc94ea6952cd12ddad814ba9ee75ed"
 
 
-def _invoke(argv, stdin, monkeypatch, env=None):
-    monkeypatch.delenv("PILME_MAX_N", raising=False)
-    for name, value in (env or {}).items():
-        monkeypatch.setenv(name, value)
+def _invoke(argv, stdin, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -504,11 +475,6 @@ def test_corpus_covers_every_subcommand():
 def test_cli_output_is_unchanged(index, monkeypatch):
     argv, stdin = CASES[index]
     assert _invoke(argv, stdin, monkeypatch) == EXPECTED[index]
-
-
-@pytest.mark.parametrize("env, argv, stdin, expected", ENV_CASES)
-def test_cli_output_under_environment_is_unchanged(env, argv, stdin, expected, monkeypatch):
-    assert _invoke(argv, stdin, monkeypatch, env) == expected
 
 
 def test_pipeline_verdicts_are_unchanged():

@@ -199,16 +199,8 @@ def test_parse_text_explicit_count_must_cover_edges():
 def test_parse_text_refuses_vertex_counts_above_the_cap():
     with pytest.raises(ValueError, match="arity 31 exceeds the configured cap 24"):
         parse_anf_text("c 0\n0 30\n")
-    with pytest.raises(ValueError, match="exceeds the configured cap"):
-        parse_anf_text("c 1\n", vertex_count=25)
-    with pytest.raises(ValueError, match="arity 26 exceeds the configured cap 10"):
-        parse_anf_text("c 0\n0 25\n", max_n=10)
-    # max_n lowers the cap and cannot raise it: a vertex far beyond the
-    # cap would otherwise be shifted into a coefficient of 2**(v + 1) bits
     with pytest.raises(ValueError, match="arity 25 exceeds the configured cap 24"):
-        parse_anf_text("c 1\n", vertex_count=25, max_n=30)
-    with pytest.raises(ValueError, match="arity 41 exceeds the configured cap 24"):
-        parse_anf_text("c 0\n0 40\n", max_n=50)
+        parse_anf_text("c 1\n", vertex_count=25)
 
 
 def test_parse_text_rejects_malformed_input():
@@ -257,22 +249,22 @@ def _outcome(read, *args):
         return type(error), str(error)
 
 
-def _library_read(text, vertex_count, max_n):
-    h = parse_anf_text(text, vertex_count, max_n)
+def _library_read(text, vertex_count):
+    h = parse_anf_text(text, vertex_count)
     return h.vertex_count, h.coeff, h.edges
 
 
 @settings(max_examples=300, deadline=None)
-@given(anf_texts(), st.none() | st.integers(1, MAX_N + 2), st.just(MAX_N) | st.integers(1, MAX_N))
+@given(anf_texts(), st.none() | st.integers(1, MAX_N + 2))
 # A repeated vertex whose line also repeats an earlier monomial: the
 # repeat is reported, whether the mask carries onto the earlier one's
 # (1 + 2 + 2 is the mask of {0, 2}) or the line names a vertex of 24 or more.
-@example("c 0\n0 2\n0 1 1\n", None, MAX_N)
-@example("c 0\n0 30\n30 0 0\n", None, MAX_N)
-def test_parse_text_matches_the_line_by_line_reference(text, vertex_count, max_n):
+@example("c 0\n0 2\n0 1 1\n", None)
+@example("c 0\n0 30\n30 0 0\n", None)
+def test_parse_text_matches_the_line_by_line_reference(text, vertex_count):
     # The same hypergraph, in the same edge order, or the same error.
-    expected = _outcome(read_anf_text, text, vertex_count, max_n)
-    assert _outcome(_library_read, text, vertex_count, max_n) == expected
+    expected = _outcome(read_anf_text, text, vertex_count)
+    assert _outcome(_library_read, text, vertex_count) == expected
 
 
 @given(hypergraphs())
